@@ -22,7 +22,7 @@ use crate::table::{fnum, Table};
 use malleable_core::algos::waterfill::allocation_changes;
 use malleable_core::bounds::{arrival_height_bound, height_bound, squashed_area_bound};
 use malleable_core::policy;
-use malleable_core::{ColumnSchedule, Instance, ScheduleError};
+use malleable_core::{ColumnSchedule, Instance, Policy, ScheduleError};
 use malleable_opt::brute::optimal_schedule;
 use malleable_sim::metrics::jain_fairness;
 use malleable_workloads::{generate, Spec};
@@ -71,8 +71,9 @@ impl InstanceSource {
 /// One policy column of the grid.
 #[derive(Clone)]
 pub enum GridPolicy {
-    /// A policy from the [`malleable_core::policy`] registry, by name.
-    Named(String),
+    /// An entry of the [`malleable_core::policy`] registry, resolved once
+    /// (entries are plain `Copy` data, shared by every worker thread).
+    Registry(Policy),
     /// A custom algorithm not (or not yet) in the registry.
     Custom {
         /// Label for the `policy` column.
@@ -84,8 +85,17 @@ pub enum GridPolicy {
 
 impl GridPolicy {
     /// A registry policy by name.
-    pub fn named(name: impl Into<String>) -> Self {
-        GridPolicy::Named(name.into())
+    ///
+    /// # Panics
+    /// When `name` is not in the registry — a grid naming an unknown
+    /// policy is an experiment bug, rejected before anything runs.
+    pub fn named(name: &str) -> Self {
+        GridPolicy::Registry(policy::by_name(name).unwrap_or_else(|| {
+            panic!(
+                "unknown policy {name:?}; registry has {:?}",
+                policy::names()
+            )
+        }))
     }
 
     /// A custom policy from a closure.
@@ -102,7 +112,7 @@ impl GridPolicy {
     /// The record label.
     pub fn name(&self) -> &str {
         match self {
-            GridPolicy::Named(n) => n,
+            GridPolicy::Registry(p) => p.name,
             GridPolicy::Custom { name, .. } => name,
         }
     }
@@ -141,13 +151,6 @@ pub struct EvalRecord {
     pub fairness: f64,
     /// Policy wall time in microseconds.
     pub wall_us: f64,
-}
-
-/// A grid policy resolved for execution (registry lookups done once per
-/// sweep, not once per cell).
-enum Resolved {
-    Registry(Box<dyn malleable_core::SchedulingPolicy<f64>>),
-    Custom(RunPolicy),
 }
 
 /// Declarative `(source × seed × policy)` sweep.
@@ -213,31 +216,10 @@ impl BatchGrid {
     /// `(source, seed, policy)` declaration order, deterministically.
     ///
     /// # Panics
-    /// Panics when a named policy is not in the registry or a policy fails
-    /// on a generated instance — grid sweeps assert success by design (a
-    /// policy that cannot schedule a workload family is an experiment bug,
-    /// not data).
+    /// Panics when a policy fails on a generated instance — grid sweeps
+    /// assert success by design (a policy that cannot schedule a workload
+    /// family is an experiment bug, not data).
     pub fn run(&self) -> Vec<EvalRecord> {
-        // Resolve named policies once up front (policies are stateless and
-        // `Send + Sync`, so the boxes are shared by every worker thread).
-        let resolved: Vec<(&str, Resolved)> = self
-            .policies
-            .iter()
-            .map(|gp| {
-                let r = match gp {
-                    GridPolicy::Named(name) => {
-                        Resolved::Registry(policy::by_name::<f64>(name).unwrap_or_else(|| {
-                            panic!(
-                                "unknown policy {name:?}; registry has {:?}",
-                                policy::names()
-                            )
-                        }))
-                    }
-                    GridPolicy::Custom { run, .. } => Resolved::Custom(run.clone()),
-                };
-                (gp.name(), r)
-            })
-            .collect();
         let cells: Vec<(usize, u64)> = self
             .sources
             .iter()
@@ -245,16 +227,11 @@ impl BatchGrid {
             .flat_map(|(si, _)| self.seeds.iter().map(move |&seed| (si, seed)))
             .collect();
         malleable_trace::gauge("batch.cells", cells.len() as u64);
-        let rows = par_map(cells, |(si, seed)| self.eval_cell(si, seed, &resolved));
+        let rows = par_map(cells, |(si, seed)| self.eval_cell(si, seed));
         rows.into_iter().flatten().collect()
     }
 
-    fn eval_cell(
-        &self,
-        source_idx: usize,
-        seed: u64,
-        resolved: &[(&str, Resolved)],
-    ) -> Vec<EvalRecord> {
+    fn eval_cell(&self, source_idx: usize, seed: u64) -> Vec<EvalRecord> {
         let source = &self.sources[source_idx];
         // One span per grid cell. Worker threads are spawned fresh per
         // grid by `par_map`, so the per-thread buffers merge at the flush
@@ -280,20 +257,22 @@ impl BatchGrid {
                 .cost
         });
         let tol = Tolerance::for_instance(instance.n());
-        let records = resolved
+        let records = self
+            .policies
             .iter()
-            .map(|(name, rp)| {
+            .map(|gp| {
+                let name = gp.name();
                 let mut policy_sp =
-                    malleable_trace::span_labeled("batch.policy", || (*name).to_string());
+                    malleable_trace::span_labeled("batch.policy", || name.to_string());
                 let start = Instant::now();
-                let (schedule, certificate) = match rp {
-                    Resolved::Registry(p) => {
+                let (schedule, certificate) = match gp {
+                    GridPolicy::Registry(p) => {
                         let run = p.run(&instance).unwrap_or_else(|e| {
                             panic!("{name} failed on {}/{seed}: {e}", source.label)
                         });
                         (run.schedule, run.certificate)
                     }
-                    Resolved::Custom(run) => {
+                    GridPolicy::Custom { run, .. } => {
                         let s = run(&instance).unwrap_or_else(|e| {
                             panic!("{name} failed on {}/{seed}: {e}", source.label)
                         });

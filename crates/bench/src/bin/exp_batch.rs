@@ -53,6 +53,7 @@ use malleable_bench::batch::{
 use malleable_bench::certify::exact_certification;
 use malleable_bench::{arg_value, instance_count};
 use malleable_core::policy;
+use malleable_sim::policies::RuleAdapter;
 use malleable_workloads::{seed_batch, Spec};
 use std::time::Instant;
 
@@ -238,9 +239,9 @@ fn main() {
             },
         ]
     };
-    let online_names: Vec<String> = malleable_sim::policies::ONLINE_POLICY_NAMES
-        .iter()
-        .map(|name| format!("{name}@online"))
+    let online_rules: Vec<_> = policy::all::<f64>()
+        .into_iter()
+        .filter_map(|p| Some((p.name, p.online?)))
         .collect();
 
     let mut identical_grid = BatchGrid::new().seeds(seeds.clone());
@@ -265,12 +266,10 @@ fn main() {
     for spec in &streaming_specs {
         streaming_grid = streaming_grid.spec(spec.clone());
     }
-    for &name in malleable_sim::policies::ONLINE_POLICY_NAMES {
+    for &(name, rule) in &online_rules {
         streaming_grid =
             streaming_grid.policy(GridPolicy::custom(format!("{name}@online"), move |inst| {
-                let mut rule = malleable_sim::policies::by_name::<f64>(name)
-                    .expect("every registry name resolves");
-                malleable_sim::simulate(inst, rule.as_mut())
+                malleable_sim::simulate(inst, &mut RuleAdapter(rule))
                     .map(|run| run.schedule)
                     .map_err(|e| match e {
                         malleable_sim::SimError::Instance(inner) => inner,
@@ -289,7 +288,7 @@ fn main() {
         related_specs.len(),
         capacity_names.len(),
         capacity_specs.len(),
-        online_names.len(),
+        online_rules.len(),
         streaming_specs.len(),
     );
     let mut records = identical_grid.run();

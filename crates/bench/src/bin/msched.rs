@@ -2,7 +2,8 @@
 //!
 //! Reads an instance file (see `malleable_core::io` for the format),
 //! schedules it with the chosen policy from the
-//! [`malleable_core::policy`] registry (plus the brute-force `optimal`),
+//! [`malleable_bench::registry`] table (the core registry plus the
+//! brute-force `optimal`),
 //! and reports the schedule, objective, bounds and optionally a Gantt
 //! chart (ASCII or SVG).
 //!
@@ -62,17 +63,15 @@
 //! bit-exactly (`{:?}`), as does batch mode, so a daemon answer can be
 //! diffed against `msched <file> --policy X` byte-for-byte.
 
-use malleable_bench::serve;
+use malleable_bench::{registry, serve};
 use malleable_core::algos::waterfill::water_filling;
 use malleable_core::bounds::{height_bound, squashed_area_bound};
 use malleable_core::instance::Instance;
 use malleable_core::io::parse_instance;
 use malleable_core::machine::MachineModel;
-use malleable_core::policy;
 use malleable_core::schedule::column::ColumnSchedule;
 use malleable_core::schedule::convert::column_to_gantt;
 use malleable_core::schedule::svg::{gantt_to_svg, SvgOptions};
-use malleable_opt::brute::optimal_schedule;
 use numkit::Tolerance;
 use std::process::ExitCode;
 
@@ -238,66 +237,38 @@ const USAGE: &str = "usage: msched <instance-file> [--policy <name>] [--list-pol
 /// which policies can schedule its capacity model.
 fn list_policies(context: Option<&Instance>) {
     match context {
-        Some(instance) => {
-            let capable = policy::capable_for(&instance.machine);
-            println!(
-                "registered policies (capability for machine model: {}):",
-                instance.machine
-            );
-            for p in policy::all::<f64>() {
-                println!(
-                    "  {:<26} {:<16} {:<4} {}",
-                    p.name(),
-                    format!("[{}]", p.clairvoyance()),
-                    if capable.contains(&p.name()) {
-                        "yes"
-                    } else {
-                        "no"
-                    },
-                    p.description()
-                );
-            }
-            println!(
-                "  {:<26} {:<16} {:<4} exact optimum over all n! completion orders (brute force, small n)",
-                "optimal",
-                "[clairvoyant]",
-                if instance.machine.uniform() { "yes" } else { "no" }
-            );
-        }
-        None => {
-            println!("registered policies (malleable_core::policy):");
-            for p in policy::all::<f64>() {
-                println!(
-                    "  {:<26} {:<16} {}",
-                    p.name(),
-                    format!("[{}]", p.clairvoyance()),
-                    p.description()
-                );
-            }
-            println!(
-                "  {:<26} {:<16} exact optimum over all n! completion orders (brute force, small n)",
-                "optimal", "[clairvoyant]"
-            );
-            println!("(pass an instance file alongside --list-policies for a capability column)");
-        }
+        Some(instance) => println!(
+            "registered policies (capability for machine model: {}):",
+            instance.machine
+        ),
+        None => println!("registered policies (malleable_core::policy):"),
+    }
+    for p in registry::all() {
+        let capable = match context {
+            Some(instance) if p.runs_on(&instance.machine) => "yes  ",
+            Some(_) => "no   ",
+            None => "",
+        };
+        println!(
+            "  {:<26} {:<16} {capable}{}",
+            p.name,
+            format!("[{}]", p.clairvoyance),
+            p.description
+        );
+    }
+    if context.is_none() {
+        println!("(pass an instance file alongside --list-policies for a capability column)");
     }
 }
 
 fn schedule(instance: &Instance, name: &str) -> Result<(ColumnSchedule, String), String> {
-    if name == "optimal" {
-        let opt = optimal_schedule(instance).map_err(|e| e.to_string())?;
-        return Ok((
-            opt.schedule,
-            format!("exact optimum over all {}! completion orders", instance.n()),
-        ));
-    }
-    let Some(p) = policy::by_name::<f64>(name) else {
+    let Some(p) = registry::by_name(name) else {
         return Err(format!(
             "unknown policy {name:?}; try --list-policies\n{USAGE}"
         ));
     };
     let run = p.run(instance).map_err(|e| e.to_string())?;
-    let mut note = format!("{} — {}", p.name(), p.description());
+    let mut note = format!("{} — {}", p.name, p.description);
     if let Some(cert) = &run.certificate {
         let cost = run.schedule.weighted_completion_cost(instance);
         note.push_str(&format!(

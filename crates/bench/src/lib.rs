@@ -22,6 +22,8 @@
 //!   `results/BENCH_parametric.json` writer (the `exp_perf` binary);
 //! * [`jsonin`] — the matching reader for the crate's own JSON result
 //!   files (no serde in the offline build);
+//! * [`registry`] — the policy table `msched` and the daemon resolve
+//!   names through: the core registry plus the brute-force `optimal`;
 //! * [`regression`] — the CI bench-regression gate: per-policy tolerance
 //!   bands over `BENCH_batch.json` vs the checked-in baseline (the
 //!   `bench_gate` binary);
@@ -38,6 +40,7 @@ pub mod csvout;
 pub mod jsonin;
 pub mod parallel;
 pub mod perf;
+pub mod registry;
 pub mod regression;
 pub mod serve;
 pub mod stats;

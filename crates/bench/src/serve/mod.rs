@@ -25,14 +25,13 @@
 pub mod protocol;
 
 use crate::parallel::ShardPool;
+use crate::registry;
 use crate::serve::protocol::{error_response, json_num, ok_response, parse_request, Request};
 use crossbeam::channel::Sender;
 use malleable_core::bounds::arrival_aware_lower_bound;
 use malleable_core::instance::Instance;
 use malleable_core::policy;
 use malleable_core::schedule::column::ColumnSchedule;
-use malleable_opt::brute::optimal_schedule;
-use malleable_sim::policies::ONLINE_POLICY_NAMES;
 use malleable_trace::MetricSet;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -170,26 +169,27 @@ struct ShardReq {
     reply: Sender<String>,
 }
 
-/// Solve `instance` with `name`: batch registry (plus `optimal`) for
-/// clairvoyant tenants, online simulation for streaming ones. Returns
-/// the schedule and the reported mode tag.
+/// Solve `instance` with `name`: the bench registry (core table plus
+/// `optimal`) for clairvoyant tenants, online simulation for streaming
+/// ones. Returns the schedule and the reported mode tag.
 fn solve(instance: &Instance, name: &str) -> Result<(ColumnSchedule, &'static str), String> {
     if instance.has_arrivals() {
         let mut p = malleable_sim::policies::by_name::<f64>(name).ok_or_else(|| {
+            let online: Vec<&str> = policy::all::<f64>()
+                .into_iter()
+                .filter(|p| p.online.is_some())
+                .map(|p| p.name)
+                .collect();
             format!(
                 "policy {name:?} cannot run against streaming arrivals \
                  (online policies: {})",
-                ONLINE_POLICY_NAMES.join(", ")
+                online.join(", ")
             )
         })?;
         let run = malleable_sim::simulate(instance, p.as_mut()).map_err(|e| e.to_string())?;
         return Ok((run.schedule, "online"));
     }
-    if name == "optimal" {
-        let opt = optimal_schedule(instance).map_err(|e| e.to_string())?;
-        return Ok((opt.schedule, "batch"));
-    }
-    let p = policy::by_name::<f64>(name)
+    let p = registry::by_name(name)
         .ok_or_else(|| format!("unknown policy {name:?}; try msched --list-policies"))?;
     let run = p.run(instance).map_err(|e| e.to_string())?;
     Ok((run.schedule, "batch"))

@@ -50,6 +50,7 @@ fn batch_grid_trace_covers_four_layers_balanced() {
         "probe.solve",  // probe session
         "solve.lmax",   // parametric scheduler lane
         "wdeq.drive",   // event-driven scheduler lane
+        "policy.run",   // registry boundary
         "batch.cell",   // batch engine
         "batch.policy", // batch engine, per-policy
     ] {
@@ -70,6 +71,36 @@ fn batch_grid_trace_covers_four_layers_balanced() {
     let cs = malleable_trace::chrome::validate_chrome_json(&json).expect("valid chrome JSON");
     assert_eq!(cs.begins, stats.spans);
     assert_eq!(cs.begins, cs.ends);
+}
+
+/// The registry boundary owns the policy span: a `greedy-smith` run —
+/// a policy with no span code of its own — records exactly one
+/// `policy.run` span, labelled with the policy name.
+#[test]
+fn registry_run_emits_one_policy_span() {
+    let _x = exclusive();
+    let instance = generate(&Spec::PaperUniform { n: 6 }, 5);
+    let greedy = malleable_core::policy::by_name::<f64>("greedy-smith").expect("registered");
+    let session = malleable_trace::Session::start();
+    greedy.run(&instance).expect("greedy-smith runs");
+    let trace = session.finish();
+
+    let stats = trace.validate().expect("balanced");
+    assert_eq!(stats.spans, 1, "{:?}", trace.span_names());
+    let labels: Vec<_> = trace
+        .chunks
+        .iter()
+        .flat_map(|c| &c.events)
+        .filter_map(|e| match e {
+            malleable_trace::Event::Begin {
+                name: "policy.run",
+                label,
+                ..
+            } => label.as_deref(),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(labels, ["greedy-smith"]);
 }
 
 /// A parallel batch run (one worker per cell) merges per-thread buffers

@@ -18,10 +18,10 @@
 //! * the lower bounds ([`bounds`]): squashed area `A(I)`, height `H(I)`,
 //!   the mixed bound of Lemma 1 and the per-run WDEQ certificate of
 //!   Lemma 2;
-//! * the policy layer ([`policy`]): every algorithm behind one object-safe
-//!   [`SchedulingPolicy`] trait and a string-keyed registry
+//! * the policy layer ([`policy`]): every algorithm as one plain-data
+//!   [`Policy`] entry in a single string-keyed table
 //!   ([`policy::all`] / [`policy::by_name`]), so CLIs, sweeps and tests
-//!   select algorithms as data.
+//!   select algorithms — and their capabilities — as data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,7 @@ pub mod schedule;
 pub use error::ScheduleError;
 pub use instance::{Instance, InstanceBuilder, Task, TaskId};
 pub use machine::MachineModel;
-pub use policy::{PolicyRun, SchedulingPolicy};
+pub use policy::{Policy, PolicyRun};
 pub use schedule::column::ColumnSchedule;
 pub use schedule::gantt::Gantt;
 pub use schedule::step::StepSchedule;

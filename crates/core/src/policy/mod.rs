@@ -1,19 +1,22 @@
-//! First-class scheduling policies: one object-safe trait, one named
-//! registry, every algorithm in the stack behind it.
+//! First-class scheduling policies: one table of plain entries, every
+//! algorithm in the stack behind it.
 //!
 //! The paper's value is the *comparison* between WDEQ, Water-Filling and
 //! Greedy(σ) against the lower bounds; this module makes that comparison a
-//! data-driven sweep instead of N hand-wired call sites. A
-//! [`SchedulingPolicy`] turns an [`Instance`] into a
-//! [`ColumnSchedule`] (plus an optional per-run approximation
-//! certificate), and the registry ([`all`], [`by_name`], [`names`])
-//! enumerates every implementation by stable string key — so experiment
-//! binaries, the `msched` CLI and the batch-evaluation engine all select
-//! algorithms by name.
+//! data-driven sweep instead of N hand-wired call sites. A [`Policy`] is a
+//! plain-data registry entry: a stable name, a description, its
+//! information model, its capabilities (whether it runs on every machine
+//! model, and the [`AllocationRule`] it exposes to online simulation, if
+//! any) and a `run` function turning an [`Instance`] into a
+//! [`ColumnSchedule`] plus an optional per-run approximation certificate.
+//! The registry ([`all`], [`by_name`], [`names`], [`capable_for`],
+//! [`related_capable`]) is a set of filters over that one table, so
+//! experiment binaries, the `msched` CLI, the daemon and the
+//! batch-evaluation engine all select algorithms by name.
 //!
-//! Adding a new algorithm = implementing the trait and appending one line
-//! to [`all`]; every consumer (CLI flags, sweeps, property tests) picks it
-//! up automatically.
+//! Adding a new algorithm = appending one entry to the table in [`all`];
+//! every consumer (CLI flags, sweeps, property tests, capability columns)
+//! picks it up automatically.
 //!
 //! The whole module is generic over the scalar: `by_name::<f64>` gives the
 //! production policy, `by_name::<bigratio::Rational>` the *same* policy in
@@ -25,20 +28,11 @@ pub mod rules;
 pub use registry::{all, by_name, capable_for, names, related_capable};
 pub use rules::{ActiveTask, AllocationRule};
 
-use crate::algos::greedy::{best_heuristic_greedy, greedy_schedule};
-use crate::algos::makespan::{makespan_schedule, min_lmax};
-use crate::algos::orders;
-use crate::algos::related::{flow_witness, greedy_related, min_lmax_flow};
-use crate::algos::releases::makespan_with_releases;
-use crate::algos::waterfill::water_filling;
-use crate::algos::waterfill_fast::wf_feasible_grouped;
-use crate::algos::wdeq::{certificate_of, wdeq_run};
-use crate::bounds::{combined_lower_bound, mixed_bound};
 use crate::error::ScheduleError;
-use crate::instance::{Instance, TaskId};
+use crate::instance::Instance;
+use crate::machine::MachineModel;
 use crate::schedule::column::ColumnSchedule;
-use crate::schedule::convert::step_to_column;
-use numkit::{Scalar, Tolerance};
+use numkit::Scalar;
 use std::fmt;
 
 /// What a policy is allowed to know about the tasks it schedules.
@@ -92,560 +86,53 @@ pub struct PolicyRun<S = f64> {
     pub certificate: Option<PolicyCertificate<S>>,
 }
 
-/// An algorithm that schedules a whole instance. Object-safe, so
-/// registries and CLI dispatch can hold `Box<dyn SchedulingPolicy<S>>`;
-/// `Send + Sync` so batch engines can share resolved policies across
-/// worker threads (every policy here is stateless).
-pub trait SchedulingPolicy<S: Scalar>: Send + Sync {
+/// One registry entry: an algorithm that schedules a whole instance, as
+/// plain data. Entries are `Send + Sync` (every field is a static string,
+/// a flag, a static rule or a function pointer) and `Copy` at `f64`, so
+/// batch engines share resolved entries across worker threads by value.
+#[derive(Clone, Copy)]
+pub struct Policy<S: Scalar = f64> {
     /// Stable registry key (also the experiment-table label).
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// One-line human description for `--list-policies` output.
-    fn description(&self) -> &'static str;
-
+    pub description: &'static str,
     /// The information model the policy operates under.
-    fn clairvoyance(&self) -> Clairvoyance;
+    pub clairvoyance: Clairvoyance,
+    /// Runs on every machine model (related, submodular and restricted
+    /// included). The rate-space identical-machine policies do not: they
+    /// reject heterogeneous instances, loudly.
+    pub heterogeneous: bool,
+    /// The allocation rule behind the policy when it can run online
+    /// (non-clairvoyantly, against streaming arrivals) under
+    /// `malleable_sim::simulate`; `None` for offline solvers.
+    pub online: Option<&'static (dyn AllocationRule<S> + Sync)>,
+    /// The algorithm itself. Call it through [`Policy::run`], which adds
+    /// the registry-boundary trace span.
+    pub run: fn(&Instance<S>) -> Result<PolicyRun<S>, ScheduleError>,
+}
 
-    /// Run the policy.
+impl<S: Scalar> Policy<S> {
+    /// The stable registry key.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Whether the policy can schedule instances on `machine`: every
+    /// policy on uniform (identical-speed) models, only the
+    /// [`heterogeneous`](Policy::heterogeneous) ones elsewhere.
+    pub fn runs_on(&self, machine: &MachineModel<S>) -> bool {
+        self.heterogeneous || machine.uniform()
+    }
+
+    /// Run the policy inside one `policy.run` trace span labelled with its
+    /// name — the only span code any policy needs.
     ///
     /// # Errors
     /// Propagates instance validation and algorithm failures
     /// ([`ScheduleError`]).
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError>;
-
-    /// Just the schedule.
-    ///
-    /// # Errors
-    /// Same as [`SchedulingPolicy::run`].
-    fn schedule(&self, instance: &Instance<S>) -> Result<ColumnSchedule<S>, ScheduleError> {
-        self.run(instance).map(|r| r.schedule)
-    }
-}
-
-fn plain<S: Scalar>(schedule: ColumnSchedule<S>) -> PolicyRun<S> {
-    PolicyRun {
-        schedule,
-        certificate: None,
-    }
-}
-
-/// **WDEQ** (Algorithm 1): the non-clairvoyant 2-approximation, carrying
-/// its Lemma-2 certificate on every run.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Wdeq;
-
-impl<S: Scalar> SchedulingPolicy<S> for Wdeq {
-    fn name(&self) -> &'static str {
-        "wdeq"
-    }
-
-    fn description(&self) -> &'static str {
-        "weighted dynamic equipartition (Algorithm 1, certified 2-approximation)"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::NonClairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let run = wdeq_run(instance)?;
-        let cert = certificate_of(instance, &run);
-        Ok(PolicyRun {
-            schedule: run.schedule,
-            certificate: Some(PolicyCertificate {
-                lower_bound: cert.value(),
-                factor: S::from_int(2),
-            }),
-        })
-    }
-}
-
-/// A rule-driven online policy replayed to completion (DEQ and the
-/// WDEQ ablations).
-#[derive(Debug, Clone, Copy)]
-pub struct RulePolicy<R> {
-    rule: R,
-    description: &'static str,
-}
-
-impl<R> RulePolicy<R> {
-    /// Wrap an allocation rule.
-    pub fn new(rule: R, description: &'static str) -> Self {
-        RulePolicy { rule, description }
-    }
-}
-
-impl<S: Scalar, R: AllocationRule<S> + Send + Sync> SchedulingPolicy<S> for RulePolicy<R> {
-    fn name(&self) -> &'static str {
-        self.rule.name()
-    }
-
-    fn description(&self) -> &'static str {
-        self.description
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::NonClairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        rules::replay(instance, &self.rule).map(plain)
-    }
-}
-
-/// Water-Filling normal form (Algorithm 2) of the WDEQ completion times:
-/// same completions, ≤ n allocation changes (Lemma 5). The `fast` variant
-/// routes feasibility through the grouped O(n log n)-style oracle first,
-/// exercising both code paths of Theorem 8.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WaterFillNormalForm {
-    /// Pre-verify feasibility with the grouped oracle before
-    /// materializing the allocation.
-    pub fast: bool,
-}
-
-impl<S: Scalar> SchedulingPolicy<S> for WaterFillNormalForm {
-    fn name(&self) -> &'static str {
-        if self.fast {
-            "wf-fast"
-        } else {
-            "wf"
-        }
-    }
-
-    fn description(&self) -> &'static str {
-        if self.fast {
-            "Water-Filling normal form of WDEQ times (grouped feasibility oracle first)"
-        } else {
-            "Water-Filling normal form of the WDEQ completion times (Algorithm 2)"
-        }
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let completions = wdeq_run(instance)?.schedule.completions;
-        if self.fast && !wf_feasible_grouped(instance, &completions)? {
-            // WDEQ times are feasible by construction; a grouped verdict to
-            // the contrary would be a bug, not bad input.
-            return Err(ScheduleError::InvalidInstance {
-                reason: "grouped oracle rejected WDEQ completion times".into(),
-            });
-        }
-        water_filling(instance, &completions).map(plain)
-    }
-}
-
-/// The task-ordering rules of `algos::orders`, as data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrderRule {
-    /// Smith's rule: `Vᵢ/wᵢ` non-decreasing.
-    Smith,
-    /// Caps descending.
-    DeltaDescending,
-    /// Caps ascending.
-    DeltaAscending,
-    /// Heights `Vᵢ/δᵢ` descending.
-    HeightDescending,
-    /// Weighted height `wᵢ·min(δᵢ,P)/Vᵢ` descending.
-    WeightedHeightDescending,
-    /// Input order (the identity permutation).
-    Input,
-}
-
-impl OrderRule {
-    /// Every ordering rule, in registry order.
-    pub const ALL: [OrderRule; 6] = [
-        OrderRule::Smith,
-        OrderRule::DeltaDescending,
-        OrderRule::DeltaAscending,
-        OrderRule::HeightDescending,
-        OrderRule::WeightedHeightDescending,
-        OrderRule::Input,
-    ];
-
-    /// Compute the task order on an instance.
-    pub fn order<S: Scalar>(&self, instance: &Instance<S>) -> Vec<TaskId> {
-        match self {
-            OrderRule::Smith => orders::smith_order(instance),
-            OrderRule::DeltaDescending => orders::delta_descending(instance),
-            OrderRule::DeltaAscending => orders::delta_ascending(instance),
-            OrderRule::HeightDescending => orders::height_descending(instance),
-            OrderRule::WeightedHeightDescending => orders::weighted_height_descending(instance),
-            OrderRule::Input => (0..instance.n()).map(TaskId).collect(),
-        }
-    }
-}
-
-/// **Greedy(σ)** (Algorithm 3) under a fixed ordering rule.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyPolicy {
-    /// The ordering rule σ.
-    pub order: OrderRule,
-}
-
-impl<S: Scalar> SchedulingPolicy<S> for GreedyPolicy {
-    fn name(&self) -> &'static str {
-        match self.order {
-            OrderRule::Smith => "greedy-smith",
-            OrderRule::DeltaDescending => "greedy-delta-desc",
-            OrderRule::DeltaAscending => "greedy-delta-asc",
-            OrderRule::HeightDescending => "greedy-height-desc",
-            OrderRule::WeightedHeightDescending => "greedy-wheight-desc",
-            OrderRule::Input => "greedy-input",
-        }
-    }
-
-    fn description(&self) -> &'static str {
-        match self.order {
-            OrderRule::Smith => "greedy schedule in Smith order, V/w ascending (Algorithm 3)",
-            OrderRule::DeltaDescending => "greedy schedule, caps descending",
-            OrderRule::DeltaAscending => "greedy schedule, caps ascending",
-            OrderRule::HeightDescending => "greedy schedule, heights V/δ descending",
-            OrderRule::WeightedHeightDescending => "greedy schedule, weighted height descending",
-            OrderRule::Input => "greedy schedule in input order",
-        }
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let tol = Tolerance::<S>::for_instance(instance.n());
-        let step = greedy_schedule(instance, &self.order.order(instance))?;
-        Ok(plain(step_to_column(&step, tol)))
-    }
-}
-
-/// The best greedy schedule over all heuristic orders of
-/// [`orders::heuristic_orders`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BestHeuristicGreedy;
-
-impl<S: Scalar> SchedulingPolicy<S> for BestHeuristicGreedy {
-    fn name(&self) -> &'static str {
-        "best-greedy"
-    }
-
-    fn description(&self) -> &'static str {
-        "minimum-cost greedy schedule over the heuristic orders"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let tol = Tolerance::<S>::for_instance(instance.n());
-        let (_, order, _) = best_heuristic_greedy(instance)?;
-        let step = greedy_schedule(instance, &order)?;
-        Ok(plain(step_to_column(&step, tol)))
-    }
-}
-
-/// The `Cmax`-optimal schedule: every task finishes together at the
-/// two-term optimum `C* = max(ΣV/P, max V/min(δ,P))`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MakespanOptimal;
-
-impl<S: Scalar> SchedulingPolicy<S> for MakespanOptimal {
-    fn name(&self) -> &'static str {
-        "makespan"
-    }
-
-    fn description(&self) -> &'static str {
-        "Cmax-optimal schedule (all tasks finish at C*)"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        makespan_schedule(instance).map(plain)
-    }
-}
-
-/// The `Lmax`-derived scheduler: every task is due at its own height
-/// `hᵢ = Vᵢ/min(δᵢ, P)` (its minimal running time) and the maximum
-/// lateness is minimized exactly by the parametric Water-Filling search.
-/// Short tasks finish early; the uniform slack `L*` spreads the machine
-/// contention evenly.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LmaxHeightDue;
-
-impl<S: Scalar> SchedulingPolicy<S> for LmaxHeightDue {
-    fn name(&self) -> &'static str {
-        "lmax-height"
-    }
-
-    fn description(&self) -> &'static str {
-        "exact minimum max-lateness schedule against per-task height due dates"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let due: Vec<S> = instance
-            .iter()
-            .map(|(id, t)| t.volume.clone() / instance.effective_delta(id))
-            .collect();
-        let (_, schedule) = min_lmax(instance, &due)?;
-        Ok(plain(schedule))
-    }
-}
-
-/// Exact min-`Lmax` against **Smith-ratio due dates** `dᵢ = Vᵢ/wᵢ`
-/// (weightless tasks fall back to their height): heavier tasks are due
-/// earlier, so minimizing the worst lateness pushes priority work to the
-/// front while the parametric search keeps the optimum exact. Registered
-/// so the batch engine and `msched --policy` exercise the parametric
-/// `Lmax` path on every sweep.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LmaxParametric;
-
-impl<S: Scalar> SchedulingPolicy<S> for LmaxParametric {
-    fn name(&self) -> &'static str {
-        "lmax-parametric"
-    }
-
-    fn description(&self) -> &'static str {
-        "exact min-Lmax against Smith-ratio due dates (parametric frontier search)"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let due: Vec<S> = smith_ratio_dues(instance);
-        let (_, schedule) = min_lmax(instance, &due)?;
-        Ok(plain(schedule))
-    }
-}
-
-/// Smith-ratio due dates `dᵢ = Vᵢ/wᵢ` (weightless tasks fall back to
-/// their height) — shared by the two parametric `Lmax` policies.
-fn smith_ratio_dues<S: Scalar>(instance: &Instance<S>) -> Vec<S> {
-    instance
-        .iter()
-        .map(|(id, t)| {
-            if t.weight.is_positive() {
-                t.volume.clone() / t.weight.clone()
-            } else {
-                t.volume.clone() / instance.effective_delta(id)
-            }
-        })
-        .collect()
-}
-
-/// The release-date `Cmax` solver run at zero releases: the exact optimal
-/// makespan reached through the transportation-flow frontier search (the
-/// same value as [`MakespanOptimal`]'s closed form, via the entirely
-/// different parametric machinery — keeping the two agreeing on every
-/// sweep is a standing cross-check). The flow witness may finish
-/// individual tasks before `C*`, so its `Σ wᵢCᵢ` can differ.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MakespanParametric;
-
-impl<S: Scalar> SchedulingPolicy<S> for MakespanParametric {
-    fn name(&self) -> &'static str {
-        "makespan-parametric"
-    }
-
-    fn description(&self) -> &'static str {
-        "exact Cmax via the release-date parametric flow search (zero releases)"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let releases = vec![S::zero(); instance.n()];
-        let r = makespan_with_releases(instance, &releases)?;
-        let tol = Tolerance::<S>::for_instance(instance.n());
-        Ok(plain(step_to_column(&r.schedule, tol)))
-    }
-}
-
-/// **Fastest-machines-first WDEQ** — the related-machines entry of the
-/// heterogeneous policy family: weighted equipartition of *machine
-/// counts* (the same fixpoint as Algorithm 1), realized by handing the
-/// fastest machines to the heaviest active tasks. On identical machines
-/// this coincides with WDEQ (machine counts are rates there); on related
-/// machines it is feasible by construction because the allocation is an
-/// actual machine assignment.
-///
-/// Every run carries a Lemma-2-style certificate: the replay records which
-/// volume each task processed while *capacity-limited* (its share met its
-/// rate cap) and feeds that split into the Lemma-1 mixed bound
-/// `A(I[V¹]) + H(I[V²]) ≤ OPT` — any split is a sound lower bound, so the
-/// certificate is machine-checked on heterogeneous models too. The factor
-/// 2 is the Theorem-4 guarantee (proved on identical machines, where this
-/// policy *is* WDEQ; observed on the related/submodular/restricted sweeps).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WdeqRelated;
-
-impl<S: Scalar> SchedulingPolicy<S> for WdeqRelated {
-    fn name(&self) -> &'static str {
-        "wdeq-related"
-    }
-
-    fn description(&self) -> &'static str {
-        "weighted equipartition of machine counts, fastest machines to heaviest tasks"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::NonClairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let (schedule, limited) = rules::replay_with_split(instance, &rules::WdeqRule)?;
-        let lower_bound = mixed_bound(instance, &limited).max_of(combined_lower_bound(instance));
-        Ok(PolicyRun {
-            schedule,
-            certificate: Some(PolicyCertificate {
-                lower_bound,
-                factor: S::from_int(2),
-            }),
-        })
-    }
-}
-
-/// **Speed-scaled Water-Filling** — the related-machines normal form:
-/// take the fastest-first WDEQ completion times and materialize them
-/// through the transportation flow over the speed levels (the witness
-/// role Water-Filling plays on identical machines, Theorem 8).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WaterFillRelated;
-
-impl<S: Scalar> SchedulingPolicy<S> for WaterFillRelated {
-    fn name(&self) -> &'static str {
-        "wf-related"
-    }
-
-    fn description(&self) -> &'static str {
-        "speed-scaled normal form: WDEQ-related completion times via the level flow"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let completions = rules::replay(instance, &rules::WdeqRule)?.completions;
-        flow_witness(instance, None, &completions).map(plain)
-    }
-}
-
-/// **Greedy(Smith) on related machines**: tasks in Smith order, each
-/// receiving the earliest completion time that keeps the prefix
-/// transport-feasible (the completion-time formulation of Algorithm 3's
-/// greedy principle, sound on any speed profile).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GreedySmithRelated;
-
-impl<S: Scalar> SchedulingPolicy<S> for GreedySmithRelated {
-    fn name(&self) -> &'static str {
-        "greedy-smith-related"
-    }
-
-    fn description(&self) -> &'static str {
-        "greedy earliest-feasible completions in Smith order over the speed profile"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        greedy_related(instance, &orders::smith_order(instance)).map(plain)
-    }
-}
-
-/// **Greedy(LPT) on related machines**: the volume-descending analogue of
-/// [`GreedySmithRelated`] — the largest task claims the earliest feasible
-/// completion first, so big jobs anchor the frontier and small ones slot
-/// into the slack. Sound on every capacity model (identical, related,
-/// submodular, restricted).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GreedyLptRelated;
-
-impl<S: Scalar> SchedulingPolicy<S> for GreedyLptRelated {
-    fn name(&self) -> &'static str {
-        "greedy-lpt-related"
-    }
-
-    fn description(&self) -> &'static str {
-        "greedy earliest-feasible completions, largest volume first, any capacity model"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        greedy_related(instance, &orders::volume_descending(instance)).map(plain)
-    }
-}
-
-/// **Greedy most-constrained-first**: tasks in ascending effective
-/// machine-count cap `min(δᵢ, f({i}))`, ties by id. On restricted
-/// assignment the tasks with the fewest eligible machines commit first,
-/// before flexible tasks soak up their capacity; on uniform models it
-/// degenerates to caps-ascending.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GreedyEligibilityRelated;
-
-impl<S: Scalar> SchedulingPolicy<S> for GreedyEligibilityRelated {
-    fn name(&self) -> &'static str {
-        "greedy-eligibility-related"
-    }
-
-    fn description(&self) -> &'static str {
-        "greedy earliest-feasible completions, most-constrained task first"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        greedy_related(instance, &orders::count_cap_ascending(instance)).map(plain)
-    }
-}
-
-/// Exact min-`Lmax` against Smith-ratio due dates with the transportation
-/// flow as oracle *and* witness — the related-machines sibling of
-/// [`LmaxParametric`]. Runs the flow path on every machine model (on
-/// identical machines it cross-checks the Water-Filling path: same
-/// optimal `L*`, different witness).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LmaxParametricRelated;
-
-impl<S: Scalar> SchedulingPolicy<S> for LmaxParametricRelated {
-    fn name(&self) -> &'static str {
-        "lmax-parametric-related"
-    }
-
-    fn description(&self) -> &'static str {
-        "exact min-Lmax on the speed profile (parametric level-flow search)"
-    }
-
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-
-    fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let due = smith_ratio_dues(instance);
-        let (_, schedule) = min_lmax_flow(instance, &due)?;
-        Ok(plain(schedule))
+    pub fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        let _span = malleable_trace::span_labeled("policy.run", || self.name.to_string());
+        (self.run)(instance)
     }
 }
 
@@ -663,6 +150,10 @@ mod tests {
             .unwrap()
     }
 
+    fn run<S: Scalar>(name: &str, i: &Instance<S>) -> PolicyRun<S> {
+        by_name::<S>(name).unwrap().run(i).unwrap()
+    }
+
     #[test]
     fn every_registered_policy_schedules_the_fixture() {
         let i = inst();
@@ -670,19 +161,19 @@ mod tests {
         for p in all::<f64>() {
             let run = p
                 .run(&i)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", p.name()));
+                .unwrap_or_else(|e| panic!("{} failed: {e}", p.name));
             run.schedule
                 .validate(&i)
-                .unwrap_or_else(|e| panic!("{} invalid: {e}", p.name()));
+                .unwrap_or_else(|e| panic!("{} invalid: {e}", p.name));
             let cost = run.schedule.weighted_completion_cost(&i);
             assert!(
                 cost >= bound - 1e-9,
                 "{} beat the lower bound: {cost} < {bound}",
-                p.name()
+                p.name
             );
             if let Some(cert) = run.certificate {
-                assert!(cert.lower_bound <= cost + 1e-9, "{}", p.name());
-                assert!(cert.ratio(cost) <= cert.factor + 1e-6, "{}", p.name());
+                assert!(cert.lower_bound <= cost + 1e-9, "{}", p.name);
+                assert!(cert.ratio(cost) <= cert.factor + 1e-6, "{}", p.name);
             }
         }
     }
@@ -690,8 +181,9 @@ mod tests {
     #[test]
     fn wdeq_certificate_is_the_lemma2_bound() {
         let i = inst();
-        let run = SchedulingPolicy::<f64>::run(&Wdeq, &i).unwrap();
-        let cert = run.certificate.expect("wdeq carries a certificate");
+        let cert = run("wdeq", &i)
+            .certificate
+            .expect("wdeq carries a certificate");
         let direct = crate::algos::wdeq::wdeq_certificate(&i);
         assert!((cert.lower_bound - direct.value()).abs() < 1e-12);
         assert_eq!(cert.factor, 2.0);
@@ -700,11 +192,9 @@ mod tests {
     #[test]
     fn normal_form_variants_agree_and_keep_wdeq_completions() {
         let i = inst();
-        let wdeq = SchedulingPolicy::<f64>::schedule(&Wdeq, &i).unwrap();
-        let full =
-            SchedulingPolicy::<f64>::schedule(&WaterFillNormalForm { fast: false }, &i).unwrap();
-        let fast =
-            SchedulingPolicy::<f64>::schedule(&WaterFillNormalForm { fast: true }, &i).unwrap();
+        let wdeq = run("wdeq", &i).schedule;
+        let full = run("wf", &i).schedule;
+        let fast = run("wf-fast", &i).schedule;
         assert_eq!(full.completions, wdeq.completions);
         assert_eq!(full.completions, fast.completions);
     }
@@ -712,10 +202,13 @@ mod tests {
     #[test]
     fn greedy_policies_cover_every_order_rule() {
         let i = inst();
-        for order in OrderRule::ALL {
-            let p = GreedyPolicy { order };
-            let s = SchedulingPolicy::<f64>::schedule(&p, &i).unwrap();
-            s.validate(&i).unwrap();
+        let greedy: Vec<_> = names()
+            .into_iter()
+            .filter(|n| n.starts_with("greedy-") && !n.ends_with("-related"))
+            .collect();
+        assert_eq!(greedy.len(), 6, "{greedy:?}");
+        for name in greedy {
+            run(name, &i).schedule.validate(&i).unwrap();
         }
     }
 
@@ -728,8 +221,8 @@ mod tests {
             .task(0.5, 1.0, 2.0)
             .build()
             .unwrap();
-        let mk = SchedulingPolicy::<f64>::schedule(&MakespanOptimal, &i).unwrap();
-        let lx = SchedulingPolicy::<f64>::schedule(&LmaxHeightDue, &i).unwrap();
+        let mk = run("makespan", &i).schedule;
+        let lx = run("lmax-height", &i).schedule;
         assert!(lx.completions[1] < mk.completions[1] - 1e-9);
     }
 
@@ -744,13 +237,14 @@ mod tests {
             .unwrap();
         for p in all::<Rational>() {
             let s = p
-                .schedule(&i)
-                .unwrap_or_else(|e| panic!("{} failed exactly: {e}", p.name()));
+                .run(&i)
+                .unwrap_or_else(|e| panic!("{} failed exactly: {e}", p.name))
+                .schedule;
             // Every policy — the parametric Lmax/Cmax solvers included —
             // now validates under the zero tolerance: there is no
             // bisection bracket left anywhere in the registry.
             s.validate(&i)
-                .unwrap_or_else(|e| panic!("{} not exact: {e}", p.name()));
+                .unwrap_or_else(|e| panic!("{} not exact: {e}", p.name));
         }
     }
 
@@ -761,7 +255,7 @@ mod tests {
         // exactly, in both fields.
         let i = inst();
         let closed = crate::algos::makespan::optimal_makespan(&i);
-        let via_flow = SchedulingPolicy::<f64>::schedule(&MakespanParametric, &i).unwrap();
+        let via_flow = run("makespan-parametric", &i).schedule;
         assert_eq!(via_flow.makespan(), closed);
 
         use bigratio::Rational;
@@ -773,7 +267,7 @@ mod tests {
             .build()
             .unwrap();
         let closed = crate::algos::makespan::optimal_makespan(&e);
-        let via_flow = SchedulingPolicy::<Rational>::schedule(&MakespanParametric, &e).unwrap();
+        let via_flow = run("makespan-parametric", &e).schedule;
         assert_eq!(via_flow.makespan(), closed);
     }
 
@@ -792,7 +286,7 @@ mod tests {
                 b = b.task(v, w, d);
             }
             let i = b.build().unwrap().with_machine(machine).unwrap();
-            for name in registry::capable_for(&i.machine) {
+            for name in capable_for(&i.machine) {
                 let p = by_name::<f64>(name).unwrap();
                 let run = p
                     .run(&i)
@@ -815,7 +309,7 @@ mod tests {
     #[test]
     fn wdeq_related_certificate_is_sound_and_matches_wdeq_on_identical() {
         let i = inst();
-        let run = SchedulingPolicy::<f64>::run(&WdeqRelated, &i).unwrap();
+        let run = run("wdeq-related", &i);
         let cert = run.certificate.expect("wdeq-related carries a certificate");
         let cost = run.schedule.weighted_completion_cost(&i);
         assert!(cert.lower_bound <= cost + 1e-9);
@@ -833,7 +327,6 @@ mod tests {
             .task(1.0, 1.0, 2.0)
             .build()
             .unwrap();
-        let s = SchedulingPolicy::<f64>::schedule(&LmaxParametric, &i).unwrap();
-        s.validate(&i).unwrap();
+        run("lmax-parametric", &i).schedule.validate(&i).unwrap();
     }
 }

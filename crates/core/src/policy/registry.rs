@@ -1,81 +1,244 @@
 //! The named policy registry: policies are data, not code.
 //!
-//! Every consumer that used to hand-wire algorithm calls (the `msched`
-//! CLI, the experiment binaries, the batch-evaluation engine) selects
+//! [`all`] is the one table of [`Policy`] entries; every other function
+//! here is a filter over it. Every consumer that used to hand-wire
+//! algorithm calls (the `msched` CLI, the daemon, the experiment
+//! binaries, the batch-evaluation engine, the online simulator) selects
 //! policies from here by stable string key. Adding an algorithm to the
-//! workspace means appending one constructor to [`all`].
+//! workspace means appending one entry to the table.
 
-use super::{
-    BestHeuristicGreedy, GreedyEligibilityRelated, GreedyLptRelated, GreedyPolicy,
-    GreedySmithRelated, LmaxHeightDue, LmaxParametric, LmaxParametricRelated, MakespanOptimal,
-    MakespanParametric, OrderRule, RulePolicy, SchedulingPolicy, WaterFillNormalForm,
-    WaterFillRelated, Wdeq, WdeqRelated,
-};
+use super::rules::{self, DeqRule, PriorityRule, ShareNoRedistributionRule, WdeqRule};
+use super::Clairvoyance::{Clairvoyant, NonClairvoyant};
+use super::{Policy, PolicyCertificate, PolicyRun};
+use crate::algos::greedy::{best_heuristic_greedy, greedy_schedule};
+use crate::algos::makespan::{makespan_schedule, min_lmax};
+use crate::algos::orders;
+use crate::algos::related::{flow_witness, greedy_related, min_lmax_flow};
+use crate::algos::releases::makespan_with_releases;
+use crate::algos::waterfill::water_filling;
+use crate::algos::waterfill_fast::wf_feasible_grouped;
+use crate::algos::wdeq::{certificate_of, wdeq_run};
+use crate::bounds::{combined_lower_bound, mixed_bound};
+use crate::error::ScheduleError;
+use crate::instance::{Instance, TaskId};
 use crate::machine::MachineModel;
-use crate::policy::rules::{DeqRule, PriorityRule, ShareNoRedistributionRule};
-use numkit::Scalar;
+use crate::schedule::column::ColumnSchedule;
+use crate::schedule::convert::step_to_column;
+use numkit::{Scalar, Tolerance};
 
-/// Every registered policy, in stable display order.
-pub fn all<S: Scalar>() -> Vec<Box<dyn SchedulingPolicy<S>>> {
-    let mut v: Vec<Box<dyn SchedulingPolicy<S>>> = vec![
-        Box::new(Wdeq),
-        Box::new(RulePolicy::new(
-            DeqRule,
-            "dynamic equipartition ignoring weights (Deng et al.)",
-        )),
-        Box::new(RulePolicy::new(
-            ShareNoRedistributionRule,
-            "weighted share without surplus redistribution (ablation)",
-        )),
-        Box::new(RulePolicy::new(
-            PriorityRule,
-            "heaviest-first list allocation (unfair baseline)",
-        )),
-        Box::new(WaterFillNormalForm { fast: false }),
-        Box::new(WaterFillNormalForm { fast: true }),
-    ];
-    v.extend(
-        OrderRule::ALL
-            .into_iter()
-            .map(|order| Box::new(GreedyPolicy { order }) as Box<dyn SchedulingPolicy<S>>),
-    );
-    v.push(Box::new(BestHeuristicGreedy));
-    v.push(Box::new(MakespanOptimal));
-    v.push(Box::new(MakespanParametric));
-    v.push(Box::new(LmaxHeightDue));
-    v.push(Box::new(LmaxParametric));
-    // The related-machines (heterogeneous speed) family — these four run
-    // on any machine model; the rate-space policies above require
-    // identical/uniform speeds (they error, loudly, on heterogeneous
-    // instances).
-    v.push(Box::new(WdeqRelated));
-    v.push(Box::new(WaterFillRelated));
-    v.push(Box::new(GreedySmithRelated));
-    v.push(Box::new(GreedyLptRelated));
-    v.push(Box::new(GreedyEligibilityRelated));
-    v.push(Box::new(LmaxParametricRelated));
-    v
+type Run<S> = Result<PolicyRun<S>, ScheduleError>;
+
+/// Every registered policy, in stable display order (the order of
+/// `--list-policies`, of batch records and of every capability filter).
+pub fn all<S: Scalar>() -> Vec<Policy<S>> {
+    vec![
+        // **WDEQ** (Algorithm 1): the non-clairvoyant 2-approximation,
+        // carrying its Lemma-2 certificate on every run.
+        Policy {
+            name: "wdeq",
+            description: "weighted dynamic equipartition (Algorithm 1, certified 2-approximation)",
+            clairvoyance: NonClairvoyant,
+            heterogeneous: false,
+            online: Some(&WdeqRule),
+            run: |i| {
+                let run = wdeq_run(i)?;
+                let bound = certificate_of(i, &run).value();
+                Ok(certified(run.schedule, bound))
+            },
+        },
+        // DEQ and the WDEQ ablations: rule-driven online policies replayed
+        // to completion.
+        Policy {
+            name: "deq",
+            description: "dynamic equipartition ignoring weights (Deng et al.)",
+            clairvoyance: NonClairvoyant,
+            heterogeneous: true,
+            online: Some(&DeqRule),
+            run: |i| rules::replay(i, &DeqRule).map(plain),
+        },
+        Policy {
+            name: "share-no-redistribution",
+            description: "weighted share without surplus redistribution (ablation)",
+            clairvoyance: NonClairvoyant,
+            heterogeneous: true,
+            online: Some(&ShareNoRedistributionRule),
+            run: |i| rules::replay(i, &ShareNoRedistributionRule).map(plain),
+        },
+        Policy {
+            name: "priority",
+            description: "heaviest-first list allocation (unfair baseline)",
+            clairvoyance: NonClairvoyant,
+            heterogeneous: true,
+            online: Some(&PriorityRule),
+            run: |i| rules::replay(i, &PriorityRule).map(plain),
+        },
+        // Water-Filling normal form (Algorithm 2) of the WDEQ completion
+        // times: same completions, ≤ n allocation changes (Lemma 5). The
+        // `fast` variant routes feasibility through the grouped oracle
+        // first, exercising both code paths of Theorem 8.
+        offline(
+            "wf",
+            "Water-Filling normal form of the WDEQ completion times (Algorithm 2)",
+            |i| water_filling_of_wdeq(i, false),
+        ),
+        offline(
+            "wf-fast",
+            "Water-Filling normal form of WDEQ times (grouped feasibility oracle first)",
+            |i| water_filling_of_wdeq(i, true),
+        ),
+        // **Greedy(σ)** (Algorithm 3) under the fixed ordering rules.
+        offline(
+            "greedy-smith",
+            "greedy schedule in Smith order, V/w ascending (Algorithm 3)",
+            |i| greedy(i, &orders::smith_order(i)),
+        ),
+        offline(
+            "greedy-delta-desc",
+            "greedy schedule, caps descending",
+            |i| greedy(i, &orders::delta_descending(i)),
+        ),
+        offline("greedy-delta-asc", "greedy schedule, caps ascending", |i| {
+            greedy(i, &orders::delta_ascending(i))
+        }),
+        offline(
+            "greedy-height-desc",
+            "greedy schedule, heights V/δ descending",
+            |i| greedy(i, &orders::height_descending(i)),
+        ),
+        offline(
+            "greedy-wheight-desc",
+            "greedy schedule, weighted height descending",
+            |i| greedy(i, &orders::weighted_height_descending(i)),
+        ),
+        offline("greedy-input", "greedy schedule in input order", |i| {
+            greedy(i, &(0..i.n()).map(TaskId).collect::<Vec<_>>())
+        }),
+        // The best greedy schedule over the heuristic orders of
+        // `orders::heuristic_orders`.
+        offline(
+            "best-greedy",
+            "minimum-cost greedy schedule over the heuristic orders",
+            |i| greedy(i, &best_heuristic_greedy(i)?.1),
+        ),
+        // The Cmax optimum: every task finishes together at the two-term
+        // optimum `C* = max(ΣV/P, max V/min(δ,P))`.
+        offline(
+            "makespan",
+            "Cmax-optimal schedule (all tasks finish at C*)",
+            |i| makespan_schedule(i).map(plain),
+        ),
+        // The release-date Cmax solver at zero releases: the same optimal
+        // makespan as `makespan` through the entirely different parametric
+        // flow machinery — keeping the two agreeing is a standing
+        // cross-check. The flow witness may finish individual tasks
+        // before `C*`, so its `Σ wᵢCᵢ` can differ.
+        offline_any_machine(
+            "makespan-parametric",
+            "exact Cmax via the release-date parametric flow search (zero releases)",
+            |i| {
+                let r = makespan_with_releases(i, &vec![S::zero(); i.n()])?;
+                Ok(plain(step_to_column(
+                    &r.schedule,
+                    Tolerance::for_instance(i.n()),
+                )))
+            },
+        ),
+        // Exact min-Lmax against per-task height due dates
+        // `hᵢ = Vᵢ/min(δᵢ, P)`: short tasks finish early, the uniform slack
+        // `L*` spreads the contention evenly.
+        offline_any_machine(
+            "lmax-height",
+            "exact minimum max-lateness schedule against per-task height due dates",
+            |i| {
+                let due: Vec<S> = i
+                    .iter()
+                    .map(|(id, t)| t.volume.clone() / i.effective_delta(id))
+                    .collect();
+                Ok(plain(min_lmax(i, &due)?.1))
+            },
+        ),
+        // Exact min-Lmax against Smith-ratio due dates: heavier tasks are
+        // due earlier, so the batch engine and `msched --policy` exercise
+        // the parametric Lmax path on every sweep.
+        offline_any_machine(
+            "lmax-parametric",
+            "exact min-Lmax against Smith-ratio due dates (parametric frontier search)",
+            |i| Ok(plain(min_lmax(i, &smith_ratio_dues(i))?.1)),
+        ),
+        // The related-machines (heterogeneous speed) family: these run on
+        // any machine model.
+        //
+        // Fastest-machines-first WDEQ: weighted equipartition of *machine
+        // counts* (the fixpoint of Algorithm 1), realized by handing the
+        // fastest machines to the heaviest active tasks — WDEQ itself on
+        // identical machines, feasible by construction on related ones.
+        // Its certificate feeds the replay's capacity-limited volume split
+        // into the Lemma-1 mixed bound `A(I[V¹]) + H(I[V²]) ≤ OPT` (sound
+        // for any split); the factor 2 is the Theorem-4 guarantee.
+        Policy {
+            name: "wdeq-related",
+            description:
+                "weighted equipartition of machine counts, fastest machines to heaviest tasks",
+            clairvoyance: NonClairvoyant,
+            heterogeneous: true,
+            online: None,
+            run: |i| {
+                let (schedule, limited) = rules::replay_with_split(i, &WdeqRule)?;
+                let bound = mixed_bound(i, &limited).max_of(combined_lower_bound(i));
+                Ok(certified(schedule, bound))
+            },
+        },
+        // Speed-scaled Water-Filling: the fastest-first WDEQ completion
+        // times materialized through the transportation flow over the
+        // speed levels (the witness role of Theorem 8).
+        offline_any_machine(
+            "wf-related",
+            "speed-scaled normal form: WDEQ-related completion times via the level flow",
+            |i| {
+                let completions = rules::replay(i, &WdeqRule)?.completions;
+                flow_witness(i, None, &completions).map(plain)
+            },
+        ),
+        // Greedy earliest-feasible completions: each task in turn gets the
+        // earliest completion that keeps the prefix transport-feasible (the
+        // completion-time form of Algorithm 3's greedy principle). The
+        // eligibility order commits the most-constrained tasks first.
+        offline_any_machine(
+            "greedy-smith-related",
+            "greedy earliest-feasible completions in Smith order over the speed profile",
+            |i| greedy_related(i, &orders::smith_order(i)).map(plain),
+        ),
+        offline_any_machine(
+            "greedy-lpt-related",
+            "greedy earliest-feasible completions, largest volume first, any capacity model",
+            |i| greedy_related(i, &orders::volume_descending(i)).map(plain),
+        ),
+        offline_any_machine(
+            "greedy-eligibility-related",
+            "greedy earliest-feasible completions, most-constrained task first",
+            |i| greedy_related(i, &orders::count_cap_ascending(i)).map(plain),
+        ),
+        // Exact min-Lmax against Smith-ratio due dates with the
+        // transportation flow as oracle *and* witness (on identical
+        // machines it cross-checks the Water-Filling path: same `L*`,
+        // different witness).
+        offline_any_machine(
+            "lmax-parametric-related",
+            "exact min-Lmax on the speed profile (parametric level-flow search)",
+            |i| Ok(plain(min_lmax_flow(i, &smith_ratio_dues(i))?.1)),
+        ),
+    ]
 }
 
-/// The policies that run on **every** machine model, related machines
-/// included (the rate-space identical-machine policies reject
-/// heterogeneous instances). Grid sweeps over heterogeneous workloads
-/// select from this list.
+/// The names of the policies that run on **every** machine model,
+/// related machines included, in registry order. Grid sweeps over
+/// heterogeneous workloads select from this list.
 pub fn related_capable() -> Vec<&'static str> {
-    vec![
-        "deq",
-        "share-no-redistribution",
-        "priority",
-        "makespan-parametric",
-        "lmax-height",
-        "lmax-parametric",
-        "wdeq-related",
-        "wf-related",
-        "greedy-smith-related",
-        "greedy-lpt-related",
-        "greedy-eligibility-related",
-        "lmax-parametric-related",
-    ]
+    all::<f64>()
+        .into_iter()
+        .filter(|p| p.heterogeneous)
+        .map(|p| p.name)
+        .collect()
 }
 
 /// The registry subset that can schedule instances on `machine`: every
@@ -84,21 +247,103 @@ pub fn related_capable() -> Vec<&'static str> {
 /// restricted-assignment models. `msched --list-policies` and the grid
 /// sweeps use this to pair policies with instances.
 pub fn capable_for<S: Scalar>(machine: &MachineModel<S>) -> Vec<&'static str> {
-    if machine.uniform() {
-        names()
-    } else {
-        related_capable()
-    }
+    all::<S>()
+        .into_iter()
+        .filter(|p| p.runs_on(machine))
+        .map(|p| p.name)
+        .collect()
 }
 
 /// Look a policy up by its stable name, or `None` for unknown keys.
-pub fn by_name<S: Scalar>(name: &str) -> Option<Box<dyn SchedulingPolicy<S>>> {
-    all::<S>().into_iter().find(|p| p.name() == name)
+pub fn by_name<S: Scalar>(name: &str) -> Option<Policy<S>> {
+    all::<S>().into_iter().find(|p| p.name == name)
 }
 
 /// The registered names, in the same order as [`all`].
 pub fn names() -> Vec<&'static str> {
-    all::<f64>().iter().map(|p| p.name()).collect()
+    all::<f64>().into_iter().map(|p| p.name).collect()
+}
+
+/// A clairvoyant offline entry for identical machines only — the shape
+/// of most of the table.
+fn offline<S: Scalar>(
+    name: &'static str,
+    description: &'static str,
+    run: fn(&Instance<S>) -> Run<S>,
+) -> Policy<S> {
+    Policy {
+        name,
+        description,
+        clairvoyance: Clairvoyant,
+        heterogeneous: false,
+        online: None,
+        run,
+    }
+}
+
+/// A clairvoyant offline entry that runs on every machine model.
+fn offline_any_machine<S: Scalar>(
+    name: &'static str,
+    description: &'static str,
+    run: fn(&Instance<S>) -> Run<S>,
+) -> Policy<S> {
+    Policy {
+        heterogeneous: true,
+        ..offline(name, description, run)
+    }
+}
+
+fn plain<S: Scalar>(schedule: ColumnSchedule<S>) -> PolicyRun<S> {
+    PolicyRun {
+        schedule,
+        certificate: None,
+    }
+}
+
+/// A run certified within factor 2 of `lower_bound ≤ OPT`.
+fn certified<S: Scalar>(schedule: ColumnSchedule<S>, lower_bound: S) -> PolicyRun<S> {
+    PolicyRun {
+        schedule,
+        certificate: Some(PolicyCertificate {
+            lower_bound,
+            factor: S::from_int(2),
+        }),
+    }
+}
+
+fn greedy<S: Scalar>(instance: &Instance<S>, order: &[TaskId]) -> Run<S> {
+    let step = greedy_schedule(instance, order)?;
+    Ok(plain(step_to_column(
+        &step,
+        Tolerance::for_instance(instance.n()),
+    )))
+}
+
+fn water_filling_of_wdeq<S: Scalar>(instance: &Instance<S>, grouped_first: bool) -> Run<S> {
+    let completions = wdeq_run(instance)?.schedule.completions;
+    if grouped_first && !wf_feasible_grouped(instance, &completions)? {
+        // WDEQ times are feasible by construction; a grouped verdict to
+        // the contrary would be a bug, not bad input.
+        return Err(ScheduleError::InvalidInstance {
+            reason: "grouped oracle rejected WDEQ completion times".into(),
+        });
+    }
+    water_filling(instance, &completions).map(plain)
+}
+
+/// Smith-ratio due dates `dᵢ = Vᵢ/wᵢ` (weightless tasks fall back to
+/// their height) — shared by the two parametric `Lmax` policies.
+fn smith_ratio_dues<S: Scalar>(instance: &Instance<S>) -> Vec<S> {
+    instance
+        .iter()
+        .map(|(id, t)| {
+            if t.weight.is_positive() {
+                t.volume.clone() / t.weight.clone()
+            } else {
+                t.volume.clone() / instance.effective_delta(id)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -116,20 +361,24 @@ mod tests {
     }
 
     #[test]
-    fn related_capable_names_are_registered() {
-        let names = names();
-        for name in related_capable() {
-            assert!(names.contains(&name), "{name} not in the registry");
-        }
-        for name in [
-            "wdeq-related",
-            "wf-related",
-            "greedy-smith-related",
-            "greedy-lpt-related",
-            "greedy-eligibility-related",
-            "lmax-parametric-related",
-        ] {
-            assert!(related_capable().contains(&name));
+    fn online_entries_expose_their_own_rule() {
+        // An entry's online rule must be the rule its name promises: the
+        // simulator resolves names through this field.
+        let online: Vec<_> = all::<f64>()
+            .into_iter()
+            .filter_map(|p| p.online.map(|rule| (p.name, rule.name())))
+            .collect();
+        assert_eq!(
+            online,
+            [
+                ("wdeq", "wdeq"),
+                ("deq", "deq"),
+                ("share-no-redistribution", "share-no-redistribution"),
+                ("priority", "priority"),
+            ]
+        );
+        for p in all::<f64>().into_iter().filter(|p| p.online.is_some()) {
+            assert_eq!(p.clairvoyance, NonClairvoyant, "{}", p.name);
         }
     }
 
@@ -151,7 +400,7 @@ mod tests {
         for name in names() {
             let p = by_name::<f64>(name).unwrap_or_else(|| panic!("{name} not found"));
             assert_eq!(p.name(), name);
-            assert!(!p.description().is_empty());
+            assert!(!p.description.is_empty());
         }
         assert!(by_name::<f64>("no-such-policy").is_none());
     }
@@ -159,8 +408,8 @@ mod tests {
     #[test]
     fn registry_is_scalar_agnostic() {
         use bigratio::Rational;
-        let f: Vec<_> = all::<f64>().iter().map(|p| p.name()).collect();
-        let r: Vec<_> = all::<Rational>().iter().map(|p| p.name()).collect();
+        let f: Vec<_> = all::<f64>().iter().map(|p| p.name).collect();
+        let r: Vec<_> = all::<Rational>().iter().map(|p| p.name).collect();
         assert_eq!(f, r);
     }
 }

@@ -6,11 +6,11 @@
 //! vector. The same rule drives two consumers:
 //!
 //! * [`replay`] — the closed-form clairvoyant replay used by the
-//!   [`SchedulingPolicy`](crate::policy::SchedulingPolicy) registry: the
+//!   [`Policy`](crate::policy::Policy) registry: the
 //!   engine knows the remaining volumes, so between completions it can
 //!   jump straight to the next event;
-//! * `malleable-sim`'s genuinely non-clairvoyant event engine, whose
-//!   policy structs are thin adapters over these rules.
+//! * `malleable-sim`'s genuinely non-clairvoyant event engine, which runs
+//!   a registry entry's `online` rule through one generic adapter.
 //!
 //! Keeping the rules here (generic over the scalar) means the paper's
 //! Algorithm 1 and its ablations exist exactly once in the workspace.

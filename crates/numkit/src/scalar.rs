@@ -21,8 +21,12 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 /// (rationals are totally ordered; `f64` is total as long as no NaN is
 /// produced, which the algorithms guarantee by never dividing by zero — all
 /// divisions are guarded by domain validation).
+///
+/// Scalars are `'static` values (owned numbers, no borrowed state), so
+/// registry entries can hold `&'static` rules over any scalar.
 pub trait Scalar:
-    Clone
+    'static
+    + Clone
     + Debug
     + PartialOrd
     + PartialEq

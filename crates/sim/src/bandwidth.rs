@@ -118,7 +118,8 @@ impl BandwidthScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::{PriorityPolicy, WdeqPolicy};
+    use crate::policies::RuleAdapter;
+    use malleable_core::policy::rules::{PriorityRule, WdeqRule};
 
     fn fleet() -> BandwidthScenario {
         BandwidthScenario {
@@ -156,7 +157,7 @@ mod tests {
     fn throughput_identity_when_all_complete() {
         // Σw·(T − C) = T·Σw − ΣwC whenever C ≤ T for all workers.
         let sc = fleet();
-        let mut p = WdeqPolicy;
+        let mut p = RuleAdapter(&WdeqRule);
         let horizon = 100.0;
         let rep = sc.run_policy(&mut p, horizon).unwrap();
         let lhs = rep.throughput;
@@ -179,8 +180,10 @@ mod tests {
     fn lower_weighted_completion_means_higher_throughput() {
         let sc = fleet();
         let horizon = 50.0;
-        let a = sc.run_policy(&mut WdeqPolicy, horizon).unwrap();
-        let b = sc.run_policy(&mut PriorityPolicy, horizon).unwrap();
+        let a = sc.run_policy(&mut RuleAdapter(&WdeqRule), horizon).unwrap();
+        let b = sc
+            .run_policy(&mut RuleAdapter(&PriorityRule), horizon)
+            .unwrap();
         // The equivalence: ordering by ΣwC is the reverse of ordering by
         // throughput (same horizon, same fleet).
         if a.weighted_completion < b.weighted_completion {

@@ -10,8 +10,9 @@
 //!   processed volume — never remaining volume) and advances between
 //!   completion events. Policy outputs are validated against the machine
 //!   model at every step.
-//! * [`policies`] — WDEQ, DEQ (unweighted), weighted-share-without-
-//!   redistribution (the WRR analogue) and a weight-priority baseline.
+//! * [`policies`] — the registry's online entries (WDEQ, DEQ
+//!   (unweighted), weighted-share-without-redistribution (the WRR
+//!   analogue) and a weight-priority baseline) behind one rule adapter.
 //! * [`bandwidth`] — the paper's Figure-1 application: a server with
 //!   outgoing bandwidth `P` pushes code of size `Vᵢ` to workers with link
 //!   capacity `δᵢ` and processing rate `wᵢ`; maximizing work processed by a
@@ -28,4 +29,4 @@ pub mod policies;
 pub use bandwidth::{BandwidthReport, BandwidthScenario, Worker};
 pub use engine::{simulate, OnlinePolicy, SimError, SimResult, TaskView};
 pub use metrics::{metrics, ScheduleMetrics};
-pub use policies::{DeqPolicy, PriorityPolicy, UncappedSharePolicy, WdeqPolicy};
+pub use policies::RuleAdapter;

@@ -1,101 +1,54 @@
-//! Non-clairvoyant allocation policies — thin adapters over the canonical
-//! rules in [`malleable_core::policy::rules`].
+//! Non-clairvoyant allocation policies — one generic adapter over the
+//! canonical rules in [`malleable_core::policy::rules`].
 //!
 //! The algorithm logic (Algorithm 1's equipartition, its ablations, the
 //! priority baseline) lives exactly once, in the core policy layer; here
-//! each rule is wrapped behind the engine's [`OnlinePolicy`] interface so
-//! it runs under the genuinely non-clairvoyant event loop of
-//! [`crate::engine::simulate`] — which independently re-validates every
-//! allocation the rule emits. Integration tests check the online runs
-//! against the core's clairvoyant replays of the *same* rules.
-//!
-//! * [`WdeqPolicy`] — Algorithm 1, the paper's 2-approximation.
-//! * [`DeqPolicy`] — the unweighted special case (Deng et al.).
-//! * [`UncappedSharePolicy`] — proportional share *without* surplus
-//!   redistribution (ablation).
-//! * [`PriorityPolicy`] — heaviest-first list allocation (unfair
-//!   baseline).
+//! [`RuleAdapter`] puts any [`AllocationRule`] behind the engine's
+//! [`OnlinePolicy`] interface so it runs under the genuinely
+//! non-clairvoyant event loop of [`crate::engine::simulate`] — which
+//! independently re-validates every allocation the rule emits. Which
+//! policies can run online is read from the core registry: [`by_name`]
+//! resolves exactly the entries whose `online` rule is set (WDEQ, DEQ,
+//! weighted share without redistribution, and the priority baseline).
+//! Integration tests check the online runs against the core's clairvoyant
+//! replays of the *same* rules.
 
 use crate::engine::{OnlinePolicy, TaskView};
-use malleable_core::policy::rules::{
-    ActiveTask, AllocationRule, DeqRule, PriorityRule, ShareNoRedistributionRule, WdeqRule,
-};
+use malleable_core::policy::{self, ActiveTask, AllocationRule};
 use numkit::Scalar;
 
-/// Translate the engine's observable views into the core rule input and
-/// delegate — the entire body of every adapter below. Generic over the
-/// scalar like the rules themselves, so the adapters drive exact
+/// An allocation rule run as an online policy: each event translates the
+/// engine's observable views into the rule's input and delegates. Generic
+/// over the scalar like the rules themselves, so it drives exact
 /// simulations as readily as `f64` ones.
-fn rule_rates<S: Scalar, R: AllocationRule<S>>(rule: &R, active: &[TaskView<S>], p: &S) -> Vec<S> {
-    let views: Vec<ActiveTask<S>> = active
-        .iter()
-        .map(|v| ActiveTask {
-            id: v.id,
-            weight: v.weight.clone(),
-            cap: v.delta.clone(),
-            processed: v.processed.clone(),
-        })
-        .collect();
-    rule.rates(&views, p)
-}
+#[derive(Debug, Clone, Copy)]
+pub struct RuleAdapter<'a, R: ?Sized>(pub &'a R);
 
-macro_rules! rule_adapter {
-    ($(#[$doc:meta])* $policy:ident => $rule:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Default, Clone, Copy)]
-        pub struct $policy;
-
-        impl<S: Scalar> OnlinePolicy<S> for $policy {
-            fn name(&self) -> &'static str {
-                AllocationRule::<S>::name(&$rule)
-            }
-
-            fn allocate(&mut self, _now: &S, active: &[TaskView<S>], p: &S) -> Vec<S> {
-                rule_rates(&$rule, active, p)
-            }
-        }
-    };
-}
-
-rule_adapter! {
-    /// Algorithm 1 (WDEQ) as an online policy.
-    WdeqPolicy => WdeqRule
-}
-
-rule_adapter! {
-    /// DEQ: dynamic equipartition ignoring weights (all tasks count 1).
-    DeqPolicy => DeqRule
-}
-
-rule_adapter! {
-    /// Proportional weighted share clamped at `δᵢ`, **without**
-    /// redistributing the clamped surplus. Wastes capacity whenever a cap
-    /// binds.
-    UncappedSharePolicy => ShareNoRedistributionRule
-}
-
-rule_adapter! {
-    /// Weight-priority list allocation: active tasks sorted by weight
-    /// (descending, ties by id), each takes `min(δ, remaining capacity)`.
-    PriorityPolicy => PriorityRule
-}
-
-/// Names of every online-capable policy, in registry order. These are the
-/// policies that can run under [`crate::engine::simulate`] against
-/// streaming arrivals (the batch registry in `malleable_core::policy`
-/// also contains clairvoyant solvers that cannot).
-pub const ONLINE_POLICY_NAMES: &[&str] = &["wdeq", "deq", "share-no-redistribution", "priority"];
-
-/// Look up an online policy adapter by its rule name. Returns `None` for
-/// names not in [`ONLINE_POLICY_NAMES`].
-pub fn by_name<S: Scalar>(name: &str) -> Option<Box<dyn OnlinePolicy<S>>> {
-    match name {
-        "wdeq" => Some(Box::new(WdeqPolicy)),
-        "deq" => Some(Box::new(DeqPolicy)),
-        "share-no-redistribution" => Some(Box::new(UncappedSharePolicy)),
-        "priority" => Some(Box::new(PriorityPolicy)),
-        _ => None,
+impl<S: Scalar, R: AllocationRule<S> + ?Sized> OnlinePolicy<S> for RuleAdapter<'_, R> {
+    fn name(&self) -> &'static str {
+        self.0.name()
     }
+
+    fn allocate(&mut self, _now: &S, active: &[TaskView<S>], p: &S) -> Vec<S> {
+        let views: Vec<ActiveTask<S>> = active
+            .iter()
+            .map(|v| ActiveTask {
+                id: v.id,
+                weight: v.weight.clone(),
+                cap: v.delta.clone(),
+                processed: v.processed.clone(),
+            })
+            .collect();
+        self.0.rates(&views, p)
+    }
+}
+
+/// Look up the online policy of a registry entry by name. Returns `None`
+/// for unknown names and for entries without an `online` rule (the
+/// clairvoyant solvers, which cannot run against streaming arrivals).
+pub fn by_name<S: Scalar>(name: &str) -> Option<Box<dyn OnlinePolicy<S>>> {
+    let rule = policy::by_name::<S>(name)?.online?;
+    Some(Box::new(RuleAdapter(rule)))
 }
 
 #[cfg(test)]
@@ -104,7 +57,9 @@ mod tests {
     use crate::engine::simulate;
     use malleable_core::algos::wdeq::wdeq_schedule;
     use malleable_core::instance::Instance;
-    use malleable_core::policy::rules::replay;
+    use malleable_core::policy::rules::{
+        replay, DeqRule, PriorityRule, ShareNoRedistributionRule, WdeqRule,
+    };
 
     fn inst() -> Instance {
         Instance::builder(4.0)
@@ -118,23 +73,26 @@ mod tests {
     #[test]
     fn online_wdeq_matches_clairvoyant_replay() {
         let i = inst();
-        let online = simulate(&i, &mut WdeqPolicy).unwrap();
+        let online = simulate(&i, &mut RuleAdapter(&WdeqRule)).unwrap();
         let offline = wdeq_schedule(&i);
         for (a, b) in online.schedule.completions.iter().zip(&offline.completions) {
             assert!((a - b).abs() < 1e-9, "online {a} vs offline {b}");
         }
     }
 
+    /// The registry's online entries, in registry order.
+    fn online_entries() -> Vec<policy::Policy<f64>> {
+        policy::all::<f64>()
+            .into_iter()
+            .filter(|p| p.online.is_some())
+            .collect()
+    }
+
     #[test]
     fn all_policies_produce_valid_schedules() {
         let i = inst();
-        let policies: Vec<Box<dyn crate::engine::OnlinePolicy>> = vec![
-            Box::new(WdeqPolicy),
-            Box::new(DeqPolicy),
-            Box::new(UncappedSharePolicy),
-            Box::new(PriorityPolicy),
-        ];
-        for mut p in policies {
+        for entry in online_entries() {
+            let mut p = by_name::<f64>(entry.name).unwrap();
             let r = simulate(&i, p.as_mut()).unwrap();
             r.schedule
                 .validate(&i)
@@ -149,20 +107,13 @@ mod tests {
         // the structural proof that sim holds no algorithm logic of its
         // own.
         let i = inst();
-        for (mut online, rule) in [
-            (
-                Box::new(WdeqPolicy) as Box<dyn OnlinePolicy>,
-                Box::new(WdeqRule) as Box<dyn AllocationRule<f64>>,
-            ),
-            (Box::new(DeqPolicy), Box::new(DeqRule)),
-            (
-                Box::new(UncappedSharePolicy),
-                Box::new(ShareNoRedistributionRule),
-            ),
-            (Box::new(PriorityPolicy), Box::new(PriorityRule)),
-        ] {
+        let entries = online_entries();
+        assert_eq!(entries.len(), 4, "wdeq, deq, share, priority");
+        for entry in entries {
+            let rule = entry.online.unwrap();
+            let mut online = by_name::<f64>(entry.name).unwrap();
             let sim = simulate(&i, online.as_mut()).unwrap();
-            let core = replay(&i, rule.as_ref()).unwrap();
+            let core = replay(&i, rule).unwrap();
             for (a, b) in sim.schedule.completions.iter().zip(&core.completions) {
                 assert!((a - b).abs() < 1e-9, "{}: {a} vs {b}", online.name());
             }
@@ -182,19 +133,22 @@ mod tests {
             .task(q(2.0), q(4.0), q(1.0))
             .build()
             .unwrap();
-        let online = simulate(&i, &mut WdeqPolicy).unwrap();
+        let online = simulate(&i, &mut RuleAdapter(&WdeqRule)).unwrap();
         online.schedule.validate(&i).unwrap(); // zero tolerance
         let offline = replay(&i, &WdeqRule).unwrap();
         assert_eq!(online.schedule.completions, offline.completions);
     }
 
     #[test]
-    fn registry_resolves_every_listed_name() {
-        for name in ONLINE_POLICY_NAMES {
-            let p = by_name::<f64>(name).unwrap_or_else(|| panic!("{name} missing"));
-            assert_eq!(p.name(), *name);
+    fn registry_resolves_exactly_the_online_entries() {
+        for entry in policy::all::<f64>() {
+            match by_name::<f64>(entry.name) {
+                Some(p) => assert_eq!(p.name(), entry.name),
+                None => assert!(entry.online.is_none(), "{} missing", entry.name),
+            }
         }
         assert!(by_name::<f64>("optimal").is_none());
+        assert!(by_name::<f64>("greedy-smith").is_none());
     }
 
     #[test]
@@ -205,7 +159,7 @@ mod tests {
             .task(1.0, 0.01, 1.0)
             .build()
             .unwrap();
-        let r = simulate(&i, &mut DeqPolicy).unwrap();
+        let r = simulate(&i, &mut RuleAdapter(&DeqRule)).unwrap();
         assert!((r.schedule.completions[0] - r.schedule.completions[1]).abs() < 1e-9);
     }
 
@@ -218,8 +172,10 @@ mod tests {
             .task(9.0, 1.0, 10.0)
             .build()
             .unwrap();
-        let wdeq = simulate(&i, &mut WdeqPolicy).unwrap().cost(&i);
-        let naive = simulate(&i, &mut UncappedSharePolicy).unwrap().cost(&i);
+        let wdeq = simulate(&i, &mut RuleAdapter(&WdeqRule)).unwrap().cost(&i);
+        let naive = simulate(&i, &mut RuleAdapter(&ShareNoRedistributionRule))
+            .unwrap()
+            .cost(&i);
         assert!(
             wdeq < naive - 1e-9,
             "redistribution should help: wdeq {wdeq} vs naive {naive}"
@@ -233,7 +189,7 @@ mod tests {
             .task(1.0, 5.0, 1.0)
             .build()
             .unwrap();
-        let r = simulate(&i, &mut PriorityPolicy).unwrap();
+        let r = simulate(&i, &mut RuleAdapter(&PriorityRule)).unwrap();
         assert!((r.schedule.completions[1] - 1.0).abs() < 1e-9);
         assert!((r.schedule.completions[0] - 2.0).abs() < 1e-9);
     }

@@ -18,13 +18,15 @@
 //!
 //! # Threading model
 //!
-//! Each thread records into its own buffer; buffers are merged into the
-//! session trace when a thread exits (TLS destructor), when
-//! [`flush_thread`] is called explicitly, or at [`Session::finish`] for the
-//! calling thread. This matches the batch engine's executor, which spawns
-//! fresh scoped threads per grid: worker buffers are flushed per cell and
-//! drained before the scope returns, so `finish()` observes a complete,
-//! merged trace with no torn spans.
+//! Each thread records into its own buffer (an uncontended per-thread
+//! lock while a session is live), which the session registry also holds.
+//! Buffers hand their events over as chunks when [`flush_thread`] is
+//! called or the thread exits (TLS destructor), and [`Session::finish`]
+//! collects every registered buffer that still holds events, under the
+//! registry lock. So everything a thread recorded before `finish()` is in
+//! the trace, even when the thread was joined before its TLS destructor
+//! ran (`std::thread::scope` can return that early): the batch engine's
+//! scoped workers merge into one complete trace with no torn spans.
 //!
 //! Only one session can be active at a time; [`Session::start`] serialises
 //! on a global lock (concurrent tests queue instead of interleaving).
@@ -56,7 +58,7 @@ pub use metrics::MetricSet;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// One recorded event. Span begin/end pairs carry a static name (low
@@ -279,7 +281,10 @@ impl Trace {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCH: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-static DRAINED: Mutex<Vec<ThreadChunk>> = Mutex::new(Vec::new());
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    drained: Vec::new(),
+    live: Vec::new(),
+});
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
 
@@ -287,66 +292,82 @@ fn now_ns() -> u64 {
     ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-fn drained() -> MutexGuard<'static, Vec<ThreadChunk>> {
-    // A panic while holding this lock (e.g. a failed test assertion)
-    // poisons it; the buffers themselves are always structurally sound,
-    // so recover rather than cascade.
-    DRAINED.lock().unwrap_or_else(|e| e.into_inner())
+/// A panic while holding a recorder lock (e.g. a failed test assertion)
+/// poisons it; the buffers themselves are always structurally sound, so
+/// recover rather than cascade.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-struct Local {
-    enabled: bool,
-    epoch: u64,
+/// One recording thread's event buffer. The thread appends to it; the
+/// session registry holds a second handle, so [`Session::finish`] can
+/// collect it whether or not the thread's TLS destructor has run yet.
+struct Buffer {
     tid: u64,
-    events: Vec<Event>,
+    epoch: u64,
+    events: Mutex<Vec<Event>>,
+}
+
+/// Everything the current session has recorded: chunks already handed
+/// over (explicit flushes, exited threads) and the buffers of every
+/// thread still recording. Lock order: the registry first, then a buffer.
+struct Registry {
+    drained: Vec<ThreadChunk>,
+    live: Vec<Arc<Buffer>>,
+}
+
+/// The calling thread's handle on its buffer: `Some` while it records.
+struct Local {
+    buffer: Option<Arc<Buffer>>,
 }
 
 impl Local {
     fn new() -> Local {
-        let enabled = ENABLED.load(Ordering::Relaxed);
-        let (tid, epoch) = if enabled {
-            (
-                NEXT_TID.fetch_add(1, Ordering::Relaxed),
-                EPOCH.load(Ordering::Relaxed),
-            )
-        } else {
-            (0, 0)
-        };
         Local {
-            enabled,
-            epoch,
-            tid,
-            events: Vec::new(),
+            buffer: ENABLED.load(Ordering::Relaxed).then(register_buffer),
         }
     }
 
-    /// Move this thread's buffered events into the global drain. Events
-    /// from a stale session (disabled, or an epoch that has since been
+    /// Move this thread's buffered events into the session's drained
+    /// chunks. Events from a stale session (an epoch that has since been
     /// superseded) are discarded instead.
     fn flush(&mut self) {
-        if self.events.is_empty() {
+        let Some(buffer) = &self.buffer else {
             return;
-        }
-        let events = std::mem::take(&mut self.events);
-        if self.enabled && self.epoch == EPOCH.load(Ordering::Relaxed) {
-            drained().push(ThreadChunk {
-                tid: self.tid,
+        };
+        let mut registry = lock(&REGISTRY);
+        let events = std::mem::take(&mut *lock(&buffer.events));
+        if !events.is_empty() && buffer.epoch == EPOCH.load(Ordering::Relaxed) {
+            registry.drained.push(ThreadChunk {
+                tid: buffer.tid,
                 events,
             });
         }
     }
+}
 
-    fn reset_for_session(&mut self) {
-        self.enabled = true;
-        self.epoch = EPOCH.load(Ordering::Relaxed);
-        self.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        self.events.clear();
-    }
+/// A fresh buffer for the calling thread, registered with the current
+/// session under a new thread id. The epoch is read under the registry
+/// lock, which `Session::start` holds while it advances the epoch.
+fn register_buffer() -> Arc<Buffer> {
+    let mut registry = lock(&REGISTRY);
+    let buffer = Arc::new(Buffer {
+        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+        epoch: EPOCH.load(Ordering::Relaxed),
+        events: Mutex::new(Vec::new()),
+    });
+    registry.live.push(Arc::clone(&buffer));
+    buffer
 }
 
 impl Drop for Local {
     fn drop(&mut self) {
         self.flush();
+        if let Some(buffer) = &self.buffer {
+            lock(&REGISTRY)
+                .live
+                .retain(|live| !Arc::ptr_eq(live, buffer));
+        }
     }
 }
 
@@ -362,9 +383,23 @@ fn with_local<R>(default: R, f: impl FnOnce(&mut Local) -> R) -> R {
         .unwrap_or(default)
 }
 
+/// Append `make()` to the calling thread's buffer when the thread is
+/// recording — `make` (the clock read, any label) runs only then — and
+/// report whether it was.
+fn record(make: impl FnOnce() -> Event) -> bool {
+    with_local(false, |l| match &l.buffer {
+        Some(buffer) => {
+            let event = make();
+            lock(&buffer.events).push(event);
+            true
+        }
+        None => false,
+    })
+}
+
 /// True when a tracing session is active *for the calling thread*.
 pub fn enabled() -> bool {
-    with_local(false, |l| l.enabled)
+    with_local(false, |l| l.buffer.is_some())
 }
 
 /// Push the calling thread's buffered events into the session trace.
@@ -412,11 +447,10 @@ impl Drop for Span {
         }
         let name = self.name;
         let args = std::mem::take(&mut self.args);
-        let ts = now_ns();
-        with_local((), |l| {
-            if l.enabled {
-                l.events.push(Event::End { name, ts, args });
-            }
+        record(|| Event::End {
+            name,
+            ts: now_ns(),
+            args,
         });
     }
 }
@@ -424,20 +458,12 @@ impl Drop for Span {
 /// Open a timed span. When tracing is disabled this is a thread-local
 /// boolean check returning a dead guard — no allocation, no clock read.
 pub fn span(name: &'static str) -> Span {
-    let live = with_local(false, |l| {
-        if !l.enabled {
-            return false;
-        }
-        let ts = now_ns();
-        l.events.push(Event::Begin {
-            name,
-            ts,
-            label: None,
-        });
-        true
-    });
     Span {
-        live,
+        live: record(|| Event::Begin {
+            name,
+            ts: now_ns(),
+            label: None,
+        }),
         name,
         args: Vec::new(),
     }
@@ -447,20 +473,12 @@ pub fn span(name: &'static str) -> Span {
 /// label closure is only invoked when tracing is enabled, so disabled mode
 /// never pays for the `String`.
 pub fn span_labeled(name: &'static str, label: impl FnOnce() -> String) -> Span {
-    let live = with_local(false, |l| {
-        if !l.enabled {
-            return false;
-        }
-        let ts = now_ns();
-        l.events.push(Event::Begin {
-            name,
-            ts,
-            label: Some(label().into_boxed_str()),
-        });
-        true
-    });
     Span {
-        live,
+        live: record(|| Event::Begin {
+            name,
+            ts: now_ns(),
+            label: Some(label().into_boxed_str()),
+        }),
         name,
         args: Vec::new(),
     }
@@ -469,21 +487,19 @@ pub fn span_labeled(name: &'static str, label: impl FnOnce() -> String) -> Span 
 /// Increment a registry counter. Zero deltas are recorded too (they are
 /// cheap and keep call sites branch-free); totals are summed at export.
 pub fn counter(name: &'static str, delta: u64) {
-    with_local((), |l| {
-        if l.enabled {
-            let ts = now_ns();
-            l.events.push(Event::Counter { name, ts, delta });
-        }
+    record(|| Event::Counter {
+        name,
+        ts: now_ns(),
+        delta,
     });
 }
 
 /// Sample a registry gauge (point-in-time value; last sample wins).
 pub fn gauge(name: &'static str, value: u64) {
-    with_local((), |l| {
-        if l.enabled {
-            let ts = now_ns();
-            l.events.push(Event::Gauge { name, ts, value });
-        }
+    record(|| Event::Gauge {
+        name,
+        ts: now_ns(),
+        value,
     });
 }
 
@@ -508,26 +524,42 @@ impl Session {
     /// threads whose buffers initialised while tracing was disabled do not
     /// re-check the global flag on the hot path.
     pub fn start() -> Session {
-        let guard = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = lock(&SESSION_LOCK);
         ANCHOR.get_or_init(Instant::now);
-        EPOCH.fetch_add(1, Ordering::Relaxed);
-        drained().clear();
+        {
+            let mut registry = lock(&REGISTRY);
+            EPOCH.fetch_add(1, Ordering::Relaxed);
+            registry.drained.clear();
+            registry.live.clear();
+        }
         ENABLED.store(true, Ordering::Relaxed);
-        with_local((), Local::reset_for_session);
+        with_local((), |l| l.buffer = Some(register_buffer()));
         Session { _guard: guard }
     }
 
-    /// End the session: disable recording, flush the calling thread, and
-    /// return the merged trace. Worker threads must have exited (or
-    /// flushed) by now — the batch engine's scoped executor guarantees
-    /// this; stragglers from a stale epoch are discarded, never mixed in.
+    /// End the session: disable recording and return the merged trace —
+    /// the chunks already drained, then every registered thread's
+    /// remaining buffer, collected under the registry lock. A thread whose
+    /// recording call has returned is in the trace even if its TLS
+    /// destructor has not run yet (scoped threads can be joined first);
+    /// spans a still-running thread has not closed stay open in its
+    /// chunk. Buffers from a stale epoch are discarded, never mixed in.
     pub fn finish(self) -> Trace {
         ENABLED.store(false, Ordering::Relaxed);
-        with_local((), |l| {
-            l.flush();
-            l.enabled = false;
-        });
-        Trace::from_chunks(std::mem::take(&mut *drained()))
+        with_local((), |l| l.buffer = None);
+        let epoch = EPOCH.load(Ordering::Relaxed);
+        let mut registry = lock(&REGISTRY);
+        let mut chunks = std::mem::take(&mut registry.drained);
+        for buffer in registry.live.drain(..) {
+            let events = std::mem::take(&mut *lock(&buffer.events));
+            if buffer.epoch == epoch && !events.is_empty() {
+                chunks.push(ThreadChunk {
+                    tid: buffer.tid,
+                    events,
+                });
+            }
+        }
+        Trace::from_chunks(chunks)
         // `self` drops here: the Drop impl re-disables, which is a no-op.
     }
 }
@@ -537,10 +569,10 @@ impl Drop for Session {
     /// panic unwinding through a test — must still disable recording,
     /// or everything after it (including work meant to run untraced)
     /// would keep recording forever. The buffered events are left in the
-    /// drain; the next `start()` clears them.
+    /// registry; the next `start()` clears them.
     fn drop(&mut self) {
         ENABLED.store(false, Ordering::Relaxed);
-        with_local((), |l| l.enabled = false);
+        with_local((), |l| l.buffer = None);
     }
 }
 

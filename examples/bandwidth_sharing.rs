@@ -12,7 +12,7 @@
 
 use malleable::prelude::*;
 use malleable::sim::bandwidth::{BandwidthScenario, Worker};
-use malleable::sim::policies::{DeqPolicy, PriorityPolicy, UncappedSharePolicy, WdeqPolicy};
+use malleable::sim::policies;
 
 fn main() {
     // A 1 Gbit/s server feeding five workers. Each worker: code size (MB),
@@ -60,12 +60,10 @@ fn main() {
         horizon * scenario.total_rate()
     );
 
-    let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-        Box::new(WdeqPolicy),
-        Box::new(DeqPolicy),
-        Box::new(UncappedSharePolicy),
-        Box::new(PriorityPolicy),
-    ];
+    let mut policies: Vec<Box<dyn OnlinePolicy>> = policy::names()
+        .into_iter()
+        .filter_map(policies::by_name)
+        .collect();
     println!(
         "{:<28} {:>12} {:>16}",
         "transfer policy", "Σ wᵢCᵢ", "tasks done by T"

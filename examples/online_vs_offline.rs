@@ -10,7 +10,7 @@
 //! ```
 
 use malleable::prelude::*;
-use malleable::sim::policies::{DeqPolicy, PriorityPolicy, UncappedSharePolicy, WdeqPolicy};
+use malleable::sim::policies;
 
 fn main() {
     let specs = [
@@ -36,12 +36,10 @@ fn main() {
 
         // Non-clairvoyant policies through the honest engine.
         let mut rows: Vec<(String, f64)> = Vec::new();
-        let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-            Box::new(WdeqPolicy),
-            Box::new(DeqPolicy),
-            Box::new(UncappedSharePolicy),
-            Box::new(PriorityPolicy),
-        ];
+        let mut policies: Vec<Box<dyn OnlinePolicy>> = policy::names()
+            .into_iter()
+            .filter_map(policies::by_name)
+            .collect();
         for p in policies.iter_mut() {
             let name = p.name().to_string();
             let r = simulate(&instance, p.as_mut()).expect("policy run");

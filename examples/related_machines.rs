@@ -40,7 +40,7 @@ fn main() {
     println!("policy                     Σ wᵢCᵢ      makespan");
     for name in policy::related_capable() {
         let p = policy::by_name::<f64>(name).expect("registered");
-        let schedule = p.schedule(&cluster).expect("related-capable");
+        let schedule = p.run(&cluster).expect("related-capable").schedule;
         schedule.validate(&cluster).expect("polymatroid-valid");
         println!(
             "{name:<26} {:>8.4}   {:>8.4}",
@@ -71,8 +71,9 @@ fn main() {
     let a = wdeq_schedule(&identical).weighted_completion_cost(&identical);
     let b = policy::by_name::<f64>("wdeq")
         .unwrap()
-        .schedule(&unit_related)
+        .run(&unit_related)
         .unwrap()
+        .schedule
         .weighted_completion_cost(&unit_related);
     assert_eq!(a, b, "unit-speed related must reduce bit-exactly");
     println!("\nunit-speed reduction: wdeq cost {a} on both machine models ✓");

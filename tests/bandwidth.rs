@@ -1,9 +1,10 @@
 //! The Figure-1 reduction as an integration test: throughput maximization
 //! and weighted-completion minimization are the same problem.
 
+use malleable::core::policy::rules::WdeqRule;
 use malleable::prelude::*;
 use malleable::sim::bandwidth::{BandwidthScenario, Worker};
-use malleable::sim::policies::{DeqPolicy, PriorityPolicy, UncappedSharePolicy, WdeqPolicy};
+use malleable::sim::policies::{self, RuleAdapter};
 use malleable::workloads::seed_batch;
 
 fn fleet(seed: u64, n: usize) -> BandwidthScenario {
@@ -35,12 +36,10 @@ fn throughput_identity_holds_for_every_policy() {
         let inst = sc.to_instance();
         let horizon = optimal_makespan(&inst) * 20.0;
         let total = sc.total_rate();
-        let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-            Box::new(WdeqPolicy),
-            Box::new(DeqPolicy),
-            Box::new(UncappedSharePolicy),
-            Box::new(PriorityPolicy),
-        ];
+        let mut policies: Vec<Box<dyn OnlinePolicy>> = policy::names()
+            .into_iter()
+            .filter_map(policies::by_name)
+            .collect();
         for p in policies.iter_mut() {
             let rep = sc.run_policy(p.as_mut(), horizon).expect("run");
             let identity = horizon * total - rep.weighted_completion;
@@ -60,12 +59,10 @@ fn policy_rankings_by_cost_and_throughput_are_mirrored() {
         let inst = sc.to_instance();
         let horizon = optimal_makespan(&inst) * 20.0;
         let mut results: Vec<(f64, f64)> = Vec::new();
-        let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-            Box::new(WdeqPolicy),
-            Box::new(DeqPolicy),
-            Box::new(UncappedSharePolicy),
-            Box::new(PriorityPolicy),
-        ];
+        let mut policies: Vec<Box<dyn OnlinePolicy>> = policy::names()
+            .into_iter()
+            .filter_map(policies::by_name)
+            .collect();
         for p in policies.iter_mut() {
             let rep = sc.run_policy(p.as_mut(), horizon).expect("run");
             results.push((rep.weighted_completion, rep.throughput));
@@ -89,7 +86,7 @@ fn clairvoyant_optimum_dominates_online_policies() {
         let horizon = optimal_makespan(&inst) * 10.0;
         let opt = optimal_schedule(&inst).expect("brute");
         let opt_rep = sc.report("opt", &opt.schedule, &inst, horizon);
-        let mut p = WdeqPolicy;
+        let mut p = RuleAdapter(&WdeqRule);
         let online = sc.run_policy(&mut p, horizon).expect("run");
         assert!(online.throughput <= opt_rep.throughput + 1e-6);
         // …and WDEQ is within its factor-2 guarantee on the cost side.
@@ -100,7 +97,7 @@ fn clairvoyant_optimum_dominates_online_policies() {
 #[test]
 fn horizon_before_any_completion_gives_zero_throughput() {
     let sc = fleet(3, 6);
-    let mut p = WdeqPolicy;
+    let mut p = RuleAdapter(&WdeqRule);
     let rep = sc.run_policy(&mut p, 0.0).expect("run");
     assert_eq!(rep.throughput, 0.0);
 }

@@ -5,11 +5,12 @@
 use malleable::core::algos::waterfill::{allocation_changes, lemma5_changes, water_filling};
 use malleable::core::algos::waterfill_int::water_filling_integer;
 use malleable::core::algos::wdeq::{wdeq_run, wdeq_schedule};
+use malleable::core::policy::rules::WdeqRule;
 use malleable::core::schedule::convert::{
     assign_processors_stable, column_to_gantt, step_to_column,
 };
 use malleable::prelude::*;
-use malleable::sim::policies::WdeqPolicy;
+use malleable::sim::policies::RuleAdapter;
 use malleable::workloads::seed_batch;
 
 #[test]
@@ -29,7 +30,7 @@ fn online_engine_matches_clairvoyant_replay_across_workloads() {
     ] {
         for seed in seed_batch(1, 5) {
             let inst = generate(&spec, seed);
-            let mut policy = WdeqPolicy;
+            let mut policy = RuleAdapter(&WdeqRule);
             let online = simulate(&inst, &mut policy).expect("engine run");
             let offline = wdeq_schedule(&inst);
             for (a, b) in online

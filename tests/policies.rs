@@ -122,10 +122,15 @@ fn exact_registry_matches_float_costs() {
         for name in policy::names() {
             let pf = policy::by_name::<f64>(name).unwrap();
             let pr = policy::by_name::<Rational>(name).unwrap();
-            let cf = pf.schedule(&inst).unwrap().weighted_completion_cost(&inst);
-            let cr = pr
-                .schedule(&exact)
+            let cf = pf
+                .run(&inst)
                 .unwrap()
+                .schedule
+                .weighted_completion_cost(&inst);
+            let cr = pr
+                .run(&exact)
+                .unwrap()
+                .schedule
                 .weighted_completion_cost(&exact);
             assert!(
                 (cf - cr.approx_f64()).abs() <= 1e-6 * (1.0 + cf),

@@ -437,8 +437,8 @@ proptest! {
         for name in policy::related_capable() {
             let pf = policy::by_name::<f64>(name).unwrap();
             let pr = policy::by_name::<Rational>(name).unwrap();
-            let sf = pf.schedule(&inst).unwrap();
-            let sr = pr.schedule(&exact).unwrap();
+            let sf = pf.run(&inst).unwrap().schedule;
+            let sr = pr.run(&exact).unwrap().schedule;
             sf.validate(&inst).unwrap();
             sr.validate(&exact).unwrap(); // zero tolerance
             let cf = sf.weighted_completion_cost(&inst);
@@ -475,8 +475,9 @@ proptest! {
         for name in ["wdeq-related", "greedy-smith-related"] {
             let p = policy::by_name::<f64>(name).unwrap();
             let cost = p
-                .schedule(&inst)
+                .run(&inst)
                 .unwrap()
+                .schedule
                 .weighted_completion_cost(&inst);
             prop_assert!(cost >= h - 1e-6 * (1.0 + cost), "{name}: {cost} < {h}");
         }
