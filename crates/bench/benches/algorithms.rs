@@ -12,7 +12,7 @@ use malleable_core::algos::orders::smith_order;
 use malleable_core::algos::releases::makespan_with_releases;
 use malleable_core::algos::waterfill::{water_filling, wf_feasible};
 use malleable_core::algos::waterfill_fast::wf_feasible_grouped;
-use malleable_core::algos::wdeq::wdeq_run;
+use malleable_core::algos::wdeq::{wdeq_completions, wdeq_run};
 use malleable_workloads::{generate, Spec};
 use std::hint::black_box;
 
@@ -35,7 +35,7 @@ fn bench_waterfill(c: &mut Criterion) {
     g.sample_size(20);
     for n in SIZES {
         let inst = generate(&Spec::PaperUniform { n }, 42);
-        let completions = wdeq_run(&inst).unwrap().schedule.completions;
+        let completions = wdeq_completions(&inst).unwrap().completions;
         g.bench_with_input(
             BenchmarkId::new("full", n),
             &(&inst, &completions),

@@ -4,8 +4,15 @@
 //! schedules it with the chosen policy from the
 //! [`malleable_bench::registry`] table (the core registry plus the
 //! brute-force `optimal`),
-//! and reports the schedule, objective, bounds and optionally a Gantt
-//! chart (ASCII or SVG).
+//! and reports the completion times, objective, bounds and optionally a
+//! Gantt chart (ASCII or SVG).
+//!
+//! Completions are the currency: the policy is asked for completion times
+//! (and its certificate) only, so `wdeq` runs its `O(n log n)` lane and
+//! never builds its `Θ(n²)` columns. Columns are requested only for
+//! `--gantt`/`--svg` without `--normalize` (with `--normalize` the chart
+//! draws the Water-Filling normal form built from the completions). The
+//! printed numbers are the same bits either way.
 //!
 //! ```text
 //! msched <instance-file> [--policy <name>] [--list-policies]
@@ -69,10 +76,12 @@ use malleable_core::bounds::{height_bound, squashed_area_bound};
 use malleable_core::instance::Instance;
 use malleable_core::io::parse_instance;
 use malleable_core::machine::MachineModel;
-use malleable_core::schedule::column::ColumnSchedule;
+use malleable_core::policy::{Output, PolicyRun};
 use malleable_core::schedule::convert::column_to_gantt;
 use malleable_core::schedule::svg::{gantt_to_svg, SvgOptions};
+use malleable_core::schedule::{makespan, weighted_completion_cost};
 use numkit::Tolerance;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 struct Args {
@@ -261,23 +270,27 @@ fn list_policies(context: Option<&Instance>) {
     }
 }
 
-fn schedule(instance: &Instance, name: &str) -> Result<(ColumnSchedule, String), String> {
+fn schedule(
+    instance: &Instance,
+    name: &str,
+    output: Output,
+) -> Result<(PolicyRun, String), String> {
     let Some(p) = registry::by_name(name) else {
         return Err(format!(
             "unknown policy {name:?}; try --list-policies\n{USAGE}"
         ));
     };
-    let run = p.run(instance).map_err(|e| e.to_string())?;
+    let run = p.solve(instance, output).map_err(|e| e.to_string())?;
     let mut note = format!("{} — {}", p.name, p.description);
     if let Some(cert) = &run.certificate {
-        let cost = run.schedule.weighted_completion_cost(instance);
+        let cost = weighted_completion_cost(instance, &run.completions);
         note.push_str(&format!(
             "; certified within {:.0}× of optimal (ratio {:.4})",
             cert.factor,
             cert.ratio(cost)
         ));
     }
-    Ok((run.schedule, note))
+    Ok((run, note))
 }
 
 /// Load and re-base the instance per the capacity-model flags. All
@@ -664,6 +677,31 @@ fn shutdown_cmd(args: &[String]) -> ExitCode {
     }
 }
 
+/// The post-solve block — policy note, objective, bounds and one
+/// `completes at` line per task — through one locked, buffered writer.
+fn print_result(instance: &Instance, note: &str, completions: &[f64]) -> std::io::Result<()> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    writeln!(out, "policy: {note}")?;
+    writeln!(
+        out,
+        "Σ wᵢCᵢ = {:.6}   makespan = {:.6}",
+        weighted_completion_cost(instance, completions),
+        makespan(completions)
+    )?;
+    writeln!(
+        out,
+        "lower bounds: A(I) = {:.6}, H(I) = {:.6}",
+        squashed_area_bound(instance),
+        height_bound(instance)
+    )?;
+    for (id, _) in instance.iter() {
+        // `{:?}` round-trips f64 bit-exactly, so these lines diff cleanly
+        // against `msched submit` output for the same instance.
+        writeln!(out, "  {id} completes at {:?}", completions[id.0])?;
+    }
+    out.flush()
+}
+
 fn batch_main() -> ExitCode {
     let args = match parse_args() {
         Ok(Parsed::Run(a)) => a,
@@ -705,16 +743,24 @@ fn batch_main() -> ExitCode {
         .trace
         .as_ref()
         .map(|_| malleable_trace::Session::start());
-    let (mut cs, note) = match schedule(&instance, &args.policy) {
+    let chart = args.gantt || args.svg.is_some();
+    let output = if chart && !args.normalize {
+        Output::Schedule
+    } else {
+        Output::Completions
+    };
+    let (run, note) = match schedule(&instance, &args.policy, output) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("scheduling failed: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let (completions, mut cs) = (run.completions, run.schedule);
     if args.normalize {
-        match water_filling(&instance, cs.completion_times()) {
-            Ok(normal) => cs = normal,
+        match water_filling(&instance, &completions) {
+            // The normal form keeps the completion times it was built for.
+            Ok(normal) => cs = Some(normal),
             Err(e) => {
                 eprintln!("normalization failed: {e}");
                 return ExitCode::FAILURE;
@@ -738,24 +784,13 @@ fn batch_main() -> ExitCode {
         );
     }
 
-    println!("policy: {note}");
-    println!(
-        "Σ wᵢCᵢ = {:.6}   makespan = {:.6}",
-        cs.weighted_completion_cost(&instance),
-        cs.makespan()
-    );
-    println!(
-        "lower bounds: A(I) = {:.6}, H(I) = {:.6}",
-        squashed_area_bound(&instance),
-        height_bound(&instance)
-    );
-    for (id, _) in instance.iter() {
-        // `{:?}` round-trips f64 bit-exactly, so these lines diff cleanly
-        // against `msched submit` output for the same instance.
-        println!("  {id} completes at {:?}", cs.completion(id));
+    if let Err(e) = print_result(&instance, &note, &completions) {
+        eprintln!("cannot write the result: {e}");
+        return ExitCode::FAILURE;
     }
 
-    if args.gantt || args.svg.is_some() {
+    if chart {
+        let cs = cs.expect("charts are drawn in schedule mode or from the normal form");
         let tol = Tolerance::for_instance(instance.n());
         match column_to_gantt(&cs, &instance, tol) {
             Ok(g) => {

@@ -17,11 +17,8 @@ const OPTIMAL: Policy = Policy {
     clairvoyance: Clairvoyance::Clairvoyant,
     heterogeneous: false,
     online: None,
-    run: |instance| match optimal_schedule(instance) {
-        Ok(opt) => Ok(PolicyRun {
-            schedule: opt.schedule,
-            certificate: None,
-        }),
+    run: |instance, _| match optimal_schedule(instance) {
+        Ok(opt) => Ok(PolicyRun::from(opt.schedule)),
         Err(OptError::Schedule(e)) => Err(e),
         Err(e) => Err(ScheduleError::InvalidInstance {
             reason: e.to_string(),

@@ -210,3 +210,26 @@ fn list_policies_shows_capability_column_for_the_instance() {
         "{plain_out}"
     );
 }
+
+/// WDEQ's limited volumes `wᵢ·v` give many equal Smith ratios; the
+/// certificate's sort must not panic on them, and the certified ratio must
+/// stay within the factor 2 of Theorem 4.
+#[test]
+fn wdeq_certificate_fixture_schedules_within_factor_two() {
+    let file = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/wdeq_certificate_panic.txt"
+    );
+    let out = msched(&[file]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ratio: f64 = stdout
+        .lines()
+        .find(|l| l.starts_with("policy: wdeq"))
+        .and_then(|l| l.split("(ratio ").nth(1))
+        .and_then(|r| r.trim_end_matches(')').parse().ok())
+        .unwrap_or_else(|| panic!("no certified ratio in:\n{stdout}"));
+    assert!(ratio > 0.0 && ratio <= 2.0, "ratio {ratio}");
+    assert_eq!(stdout.matches(" completes at ").count(), 101);
+}

@@ -256,3 +256,35 @@ fn solvers_outside_a_session_leave_no_trace() {
         "untraced work must not leak into the next session"
     );
 }
+
+/// `msched <file> --trace out.json` asks the policy for completions only:
+/// the `wdeq.drive` span records `columns = 0`, and `--gantt` (which draws
+/// the columns) records `columns = 1`.
+#[test]
+fn msched_builds_wdeq_columns_only_for_charts() {
+    let dir = std::env::temp_dir().join(format!("msched-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("jobs.txt");
+    std::fs::write(&file, "p 4\ntask 8 1 2\ntask 4 2 4\ntask 2 4 1\n").unwrap();
+    for (extra, columns) in [(None, 0.0), (Some("--gantt"), 1.0)] {
+        let trace = dir.join(format!("trace-{columns}.json"));
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_msched"));
+        cmd.arg(&file).arg("--trace").arg(&trace).args(extra);
+        let out = cmd.output().expect("msched runs");
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        let json = std::fs::read_to_string(&trace).unwrap();
+        let parsed = malleable_bench::jsonin::parse(&json).expect("trace is JSON");
+        let drives: Vec<f64> = parsed
+            .get("traceEvents")
+            .and_then(|e| e.as_array())
+            .expect("traceEvents array")
+            .iter()
+            .filter(|e| {
+                e.get("name").and_then(|n| n.as_str()) == Some("wdeq.drive")
+                    && e.get("ph").and_then(|p| p.as_str()) == Some("E")
+            })
+            .filter_map(|e| e.get("args")?.get("columns")?.as_f64())
+            .collect();
+        assert_eq!(drives, [columns], "{extra:?}");
+    }
+}

@@ -31,6 +31,17 @@
 //! [`wdeq_run`] materializes the column schedule on top of the same engine
 //! (output is `Θ(n·events)`, inherent to the column representation).
 //!
+//! # Completions first
+//!
+//! The completions-only lane is the product path: the Lemma-2 certificate
+//! ([`certificate_of`]) needs only the volume split and the completion
+//! times, and by Theorem 8 the completion vector *is* the schedule. The
+//! registry's `wdeq` entry runs the same engine with or without columns
+//! depending on what the caller asked for, so `msched <file>` prints the
+//! same bits in `O(n log n)` time and `O(n)` memory, and columns are built
+//! only for `--gantt`/`--svg` and for callers that validate them. Both
+//! modes run the same arithmetic.
+//!
 //! All event times are field operations, so the exact instantiation
 //! produces exact completion times — and a certificate whose inequality
 //! holds with zero tolerance. [`wdeq_run_reference`] keeps the quadratic
@@ -47,6 +58,7 @@ use crate::bounds::mixed_bound;
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::schedule::column::{Column, ColumnSchedule};
+use crate::schedule::weighted_completion_cost;
 use numkit::Scalar;
 #[cfg(test)]
 use numkit::Tolerance;
@@ -64,8 +76,9 @@ pub struct WdeqRun<S = f64> {
 }
 
 /// Completion times and the Lemma-2 volume split, without the column
-/// schedule — the `O(n log n)` lane for large instances, where the
-/// `Θ(n·events)` column output of [`wdeq_run`] would dominate.
+/// schedule — the `O(n log n)` lane every caller uses unless it needs
+/// columns, where the `Θ(n·events)` column output of [`wdeq_run`] would
+/// dominate.
 #[derive(Debug, Clone)]
 pub struct WdeqCompletions<S = f64> {
     /// Completion time of each task.
@@ -76,18 +89,6 @@ pub struct WdeqCompletions<S = f64> {
     pub limited_volumes: Vec<S>,
     /// Number of completion events handled (distinct event times).
     pub events: usize,
-}
-
-impl<S: Scalar> WdeqCompletions<S> {
-    /// WDEQ's achieved objective `Σ wᵢ Cᵢ`.
-    pub fn weighted_cost(&self, instance: &Instance<S>) -> S {
-        S::sum(
-            self.completions
-                .iter()
-                .zip(&instance.tasks)
-                .map(|(c, t)| c.clone() * t.weight.clone()),
-        )
-    }
 }
 
 /// The Lemma-2 certificate: `cost(WDEQ) ≤ 2 · value ≤ 2 · OPT`.
@@ -171,16 +172,6 @@ enum Regime {
     Done,
 }
 
-/// Everything the event engine produces; columns are only materialized when
-/// requested.
-struct EngineOutcome<S> {
-    completions: Vec<S>,
-    full_volumes: Vec<S>,
-    limited_volumes: Vec<S>,
-    events: usize,
-    columns: Vec<Column<S>>,
-}
-
 fn validate_for_wdeq<S: Scalar>(instance: &Instance<S>) -> Result<(), ScheduleError> {
     instance.validate()?;
     // The closed-form replay (and its Lemma-2 certificate) is proved for
@@ -195,11 +186,13 @@ fn validate_for_wdeq<S: Scalar>(instance: &Instance<S>) -> Result<(), ScheduleEr
     Ok(())
 }
 
-/// The event-driven replay (see the module docs for the invariants).
-fn drive<S: Scalar>(
+/// The event-driven replay (see the module docs for the invariants). The
+/// columns are empty unless `collect_columns` is set; nothing else depends
+/// on the switch.
+pub(crate) fn drive<S: Scalar>(
     instance: &Instance<S>,
     collect_columns: bool,
-) -> Result<EngineOutcome<S>, ScheduleError> {
+) -> Result<(WdeqCompletions<S>, Vec<Column<S>>), ScheduleError> {
     validate_for_wdeq(instance)?;
     let tol = S::default_tolerance();
     let n = instance.n();
@@ -411,13 +404,13 @@ fn drive<S: Scalar>(
     sp.arg("regime_switches", regime_switches);
     malleable_trace::counter("wdeq.events", events as u64);
     malleable_trace::counter("wdeq.regime_switches", regime_switches);
-    Ok(EngineOutcome {
+    let lane = WdeqCompletions {
         completions,
         full_volumes,
         limited_volumes,
         events,
-        columns,
-    })
+    };
+    Ok((lane, columns))
 }
 
 /// Run WDEQ to completion and return schedule plus volume split.
@@ -431,34 +424,29 @@ fn drive<S: Scalar>(
 /// task has zero weight (a weightless task would starve forever under
 /// proportional sharing; exclude such tasks or give them ε weight).
 pub fn wdeq_run<S: Scalar>(instance: &Instance<S>) -> Result<WdeqRun<S>, ScheduleError> {
-    let out = drive(instance, true)?;
+    let (lane, columns) = drive(instance, true)?;
     Ok(WdeqRun {
         schedule: ColumnSchedule {
             p: instance.p.clone(),
-            completions: out.completions,
-            columns: out.columns,
+            completions: lane.completions,
+            columns,
         },
-        full_volumes: out.full_volumes,
-        limited_volumes: out.limited_volumes,
+        full_volumes: lane.full_volumes,
+        limited_volumes: lane.limited_volumes,
     })
 }
 
 /// The `O(n log n)` completions-only lane: WDEQ completion times, event
 /// count and the Lemma-2 volume split, without materializing columns.
-/// This is the entry point the large-`n` scaling benchmarks drive.
+/// This is the entry point the large-`n` scaling benchmarks drive, and
+/// what `msched <file>` runs.
 ///
 /// # Errors
 /// Same input validation as [`wdeq_run`].
 pub fn wdeq_completions<S: Scalar>(
     instance: &Instance<S>,
 ) -> Result<WdeqCompletions<S>, ScheduleError> {
-    let out = drive(instance, false)?;
-    Ok(WdeqCompletions {
-        completions: out.completions,
-        full_volumes: out.full_volumes,
-        limited_volumes: out.limited_volumes,
-        events: out.events,
-    })
+    drive(instance, false).map(|(lane, _)| lane)
 }
 
 /// The quadratic reference replay: recompute [`wdeq_allocation`] over the
@@ -591,18 +579,23 @@ pub fn wdeq_schedule<S: Scalar>(instance: &Instance<S>) -> ColumnSchedule<S> {
         .schedule
 }
 
-/// Run WDEQ and return the Lemma-2 approximation certificate.
+/// Run WDEQ (completions-only) and return the Lemma-2 approximation
+/// certificate.
 ///
 /// # Panics
-/// Panics on invalid instances; use [`wdeq_run`] + [`certificate_of`] for
-/// fallible construction.
+/// Panics on invalid instances; use [`wdeq_completions`] +
+/// [`certificate_of`] for fallible construction.
 pub fn wdeq_certificate<S: Scalar>(instance: &Instance<S>) -> WdeqCertificate<S> {
-    let run = wdeq_run(instance).expect("invalid instance for WDEQ");
-    certificate_of(instance, &run)
+    let lane = wdeq_completions(instance).expect("invalid instance for WDEQ");
+    certificate_of(instance, &lane)
 }
 
-/// The Lemma-2 certificate of an existing run.
-pub fn certificate_of<S: Scalar>(instance: &Instance<S>, run: &WdeqRun<S>) -> WdeqCertificate<S> {
+/// The Lemma-2 certificate of a completions-lane run: it needs only the
+/// volume split and the completion times, never the columns.
+pub fn certificate_of<S: Scalar>(
+    instance: &Instance<S>,
+    run: &WdeqCompletions<S>,
+) -> WdeqCertificate<S> {
     // Lemma 2: TCWD ≤ 2·(A(I[V̄F]) + H(I[VF])): the *limited* volumes go to
     // the squashed-area bound, the *full-allocation* volumes to the height
     // bound. `mixed_bound(instance, v1)` computes A(I[v1]) + H(I[V − v1]),
@@ -610,7 +603,7 @@ pub fn certificate_of<S: Scalar>(instance: &Instance<S>, run: &WdeqRun<S>) -> Wd
     let value = mixed_bound(instance, &run.limited_volumes);
     WdeqCertificate {
         value,
-        wdeq_cost: run.schedule.weighted_completion_cost(instance),
+        wdeq_cost: weighted_completion_cost(instance, &run.completions),
     }
 }
 
@@ -868,7 +861,7 @@ mod tests {
             );
         }
         // Lemma-2 certificate holds exactly: cost ≤ 2·bound.
-        let cert = certificate_of(&inst, &run);
+        let cert = certificate_of(&inst, &wdeq_completions(&inst).unwrap());
         assert!(cert.wdeq_cost <= Rational::from_int(2) * cert.value());
         // And it agrees with the f64 run to float precision.
         let f_inst: Instance = inst.approx_f64();

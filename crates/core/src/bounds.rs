@@ -20,6 +20,7 @@
 
 use crate::instance::Instance;
 use numkit::Scalar;
+use std::cmp::Ordering;
 
 /// The squashed-area bound `A(I)`: optimal `Σ wᵢCᵢ` when parallelism caps
 /// are ignored (`δᵢ = P`), i.e. preemptive WSPT on a single machine of
@@ -52,14 +53,27 @@ pub fn squashed_area_bound<S: Scalar>(instance: &Instance<S>) -> S {
 /// `A` over explicit `(volume, weight)` pairs on a machine of capacity `p`.
 pub fn squashed_area_of<S: Scalar>(p: S, mut vw: Vec<(S, S)>) -> S {
     vw.retain(|(v, _)| v.is_positive());
-    // Smith order: V/w ascending, compared by cross-multiplication so no
-    // division (or infinity sentinel) is needed; weightless tasks last.
-    vw.sort_by(|a, b| numkit::scalar::ratio_cmp(&a.0, &a.1, &b.0, &b.1));
+    // Smith order: V/w ascending under the scalar's total order, weightless
+    // tasks last, ties in input order (the sort is stable). The key is one
+    // rounded quotient per task. A cross-multiplied comparator is not
+    // transitive in floating point once many ratios are equal — WDEQ's
+    // limited volumes are wᵢ·v — and the std sort panics on it. In exact
+    // arithmetic both orders coincide.
+    let mut keyed: Vec<(Option<S>, (S, S))> = vw
+        .into_iter()
+        .map(|(v, w)| (w.is_positive().then(|| v.clone() / w.clone()), (v, w)))
+        .collect();
+    keyed.sort_by(|(a, _), (b, _)| match (a, b) {
+        (Some(a), Some(b)) => a.total_cmp_s(b),
+        (Some(_), None) => Ordering::Less,
+        (None, Some(_)) => Ordering::Greater,
+        (None, None) => Ordering::Equal,
+    });
     // A = Σᵢ Vᵢ/P · (suffix weight from i) — computed back to front,
     // accumulated through Scalar::sum (Kahan-compensated for f64, exact for
     // exact fields).
     let mut suffix_w = S::zero();
-    S::sum(vw.iter().rev().map(|(v, w)| {
+    S::sum(keyed.iter().rev().map(|(_, (v, w))| {
         suffix_w = suffix_w.clone() + w.clone();
         v.clone() / p.clone() * suffix_w.clone()
     }))

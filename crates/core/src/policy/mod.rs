@@ -7,12 +7,21 @@
 //! plain-data registry entry: a stable name, a description, its
 //! information model, its capabilities (whether it runs on every machine
 //! model, and the [`AllocationRule`] it exposes to online simulation, if
-//! any) and a `run` function turning an [`Instance`] into a
-//! [`ColumnSchedule`] plus an optional per-run approximation certificate.
+//! any) and a `run` function turning an [`Instance`] into a [`PolicyRun`].
 //! The registry ([`all`], [`by_name`], [`names`], [`capable_for`],
 //! [`related_capable`]) is a set of filters over that one table, so
 //! experiment binaries, the `msched` CLI, the daemon and the
 //! batch-evaluation engine all select algorithms by name.
+//!
+//! **Completions are the currency.** By Theorem 8 a completion vector
+//! *is* the schedule (it is feasible iff Water-Filling succeeds on it), so
+//! a run always returns completion times plus the optional per-run
+//! certificate, and builds the column schedule only when the caller asks
+//! for it ([`Output::Schedule`]). WDEQ skips its `Θ(n·events)` columns in
+//! [`Output::Completions`] mode; entries whose algorithm builds columns
+//! anyway return them in either mode. [`Policy::solve`] takes the mode;
+//! [`Policy::run`] is the schedule-mode shorthand for callers that
+//! validate or render columns.
 //!
 //! Adding a new algorithm = appending one entry to the table in [`all`];
 //! every consumer (CLI flags, sweeps, property tests, capability columns)
@@ -76,13 +85,49 @@ impl<S: Scalar> PolicyCertificate<S> {
     }
 }
 
-/// Outcome of one policy run.
+/// What a caller needs from a policy run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Output {
+    /// Completion times and the certificate. The column schedule is
+    /// skipped where the algorithm can avoid building it.
+    Completions,
+    /// The column schedule as well (for validation, rendering or
+    /// column-level metrics).
+    Schedule,
+}
+
+/// Outcome of one policy run: completions always, columns on request.
 #[derive(Debug, Clone)]
 pub struct PolicyRun<S = f64> {
-    /// The produced schedule.
-    pub schedule: ColumnSchedule<S>,
+    /// Completion time of each task, indexed by task id.
+    pub completions: Vec<S>,
     /// A per-run certificate, when the policy carries one (WDEQ's Lemma-2
     /// bound; most policies return `None`).
+    pub certificate: Option<PolicyCertificate<S>>,
+    /// The column schedule: always present when the run was asked for
+    /// [`Output::Schedule`]; in [`Output::Completions`] mode only when the
+    /// algorithm built it anyway. Its completions equal
+    /// [`completions`](PolicyRun::completions).
+    pub schedule: Option<ColumnSchedule<S>>,
+}
+
+/// An uncertified run of an algorithm that built its column schedule.
+impl<S: Scalar> From<ColumnSchedule<S>> for PolicyRun<S> {
+    fn from(schedule: ColumnSchedule<S>) -> Self {
+        PolicyRun {
+            completions: schedule.completions.clone(),
+            certificate: None,
+            schedule: Some(schedule),
+        }
+    }
+}
+
+/// A schedule-mode run, as [`Policy::run`] returns it.
+#[derive(Debug, Clone)]
+pub struct ScheduledRun<S = f64> {
+    /// The produced schedule.
+    pub schedule: ColumnSchedule<S>,
+    /// The per-run certificate, as in [`PolicyRun::certificate`].
     pub certificate: Option<PolicyCertificate<S>>,
 }
 
@@ -106,9 +151,10 @@ pub struct Policy<S: Scalar = f64> {
     /// (non-clairvoyantly, against streaming arrivals) under
     /// `malleable_sim::simulate`; `None` for offline solvers.
     pub online: Option<&'static (dyn AllocationRule<S> + Sync)>,
-    /// The algorithm itself. Call it through [`Policy::run`], which adds
-    /// the registry-boundary trace span.
-    pub run: fn(&Instance<S>) -> Result<PolicyRun<S>, ScheduleError>,
+    /// The algorithm itself, told which [`Output`] the caller needs. Call
+    /// it through [`Policy::solve`] or [`Policy::run`], which add the
+    /// registry-boundary trace span.
+    pub run: fn(&Instance<S>, Output) -> Result<PolicyRun<S>, ScheduleError>,
 }
 
 impl<S: Scalar> Policy<S> {
@@ -125,14 +171,34 @@ impl<S: Scalar> Policy<S> {
     }
 
     /// Run the policy inside one `policy.run` trace span labelled with its
-    /// name — the only span code any policy needs.
+    /// name — the only span code any policy needs — building columns only
+    /// when `output` asks for them.
     ///
     /// # Errors
     /// Propagates instance validation and algorithm failures
     /// ([`ScheduleError`]).
-    pub fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+    pub fn solve(
+        &self,
+        instance: &Instance<S>,
+        output: Output,
+    ) -> Result<PolicyRun<S>, ScheduleError> {
         let _span = malleable_trace::span_labeled("policy.run", || self.name.to_string());
-        (self.run)(instance)
+        (self.run)(instance, output)
+    }
+
+    /// [`solve`](Policy::solve) in [`Output::Schedule`] mode: the column
+    /// schedule plus the certificate.
+    ///
+    /// # Errors
+    /// Same contract as [`solve`](Policy::solve).
+    pub fn run(&self, instance: &Instance<S>) -> Result<ScheduledRun<S>, ScheduleError> {
+        let run = self.solve(instance, Output::Schedule)?;
+        Ok(ScheduledRun {
+            schedule: run
+                .schedule
+                .expect("every entry builds columns in schedule mode"),
+            certificate: run.certificate,
+        })
     }
 }
 
@@ -150,7 +216,7 @@ mod tests {
             .unwrap()
     }
 
-    fn run<S: Scalar>(name: &str, i: &Instance<S>) -> PolicyRun<S> {
+    fn run<S: Scalar>(name: &str, i: &Instance<S>) -> ScheduledRun<S> {
         by_name::<S>(name).unwrap().run(i).unwrap()
     }
 
@@ -187,6 +253,15 @@ mod tests {
         let direct = crate::algos::wdeq::wdeq_certificate(&i);
         assert!((cert.lower_bound - direct.value()).abs() < 1e-12);
         assert_eq!(cert.factor, 2.0);
+    }
+
+    #[test]
+    fn wdeq_completions_mode_builds_no_columns() {
+        let i = inst();
+        let wdeq = by_name::<f64>("wdeq").unwrap();
+        let lean = wdeq.solve(&i, Output::Completions).unwrap();
+        assert!(lean.schedule.is_none());
+        assert_eq!(lean.completions, wdeq.run(&i).unwrap().schedule.completions);
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! binaries, the batch-evaluation engine, the online simulator) selects
 //! policies from here by stable string key. Adding an algorithm to the
 //! workspace means appending one entry to the table.
+//!
+//! Each entry's `run` receives the caller's [`Output`]. Only `wdeq` acts
+//! on it (its engine skips the columns in completions mode); every other
+//! algorithm builds its column schedule anyway and returns it in both
+//! modes.
 
 use super::rules::{self, DeqRule, PriorityRule, ShareNoRedistributionRule, WdeqRule};
 use super::Clairvoyance::{Clairvoyant, NonClairvoyant};
-use super::{Policy, PolicyCertificate, PolicyRun};
+use super::{Output, Policy, PolicyCertificate, PolicyRun};
 use crate::algos::greedy::{best_heuristic_greedy, greedy_schedule};
 use crate::algos::makespan::{makespan_schedule, min_lmax};
 use crate::algos::orders;
@@ -17,7 +22,7 @@ use crate::algos::related::{flow_witness, greedy_related, min_lmax_flow};
 use crate::algos::releases::makespan_with_releases;
 use crate::algos::waterfill::water_filling;
 use crate::algos::waterfill_fast::wf_feasible_grouped;
-use crate::algos::wdeq::{certificate_of, wdeq_run};
+use crate::algos::wdeq::{self, certificate_of, wdeq_completions};
 use crate::bounds::{combined_lower_bound, mixed_bound};
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
@@ -40,10 +45,20 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
             clairvoyance: NonClairvoyant,
             heterogeneous: false,
             online: Some(&WdeqRule),
-            run: |i| {
-                let run = wdeq_run(i)?;
-                let bound = certificate_of(i, &run).value();
-                Ok(certified(run.schedule, bound))
+            run: |i, output| {
+                let want_columns = output == Output::Schedule;
+                let (lane, columns) = wdeq::drive(i, want_columns)?;
+                let bound = certificate_of(i, &lane).value();
+                let schedule = want_columns.then(|| ColumnSchedule {
+                    p: i.p.clone(),
+                    completions: lane.completions.clone(),
+                    columns,
+                });
+                Ok(PolicyRun {
+                    completions: lane.completions,
+                    certificate: within_two(bound),
+                    schedule,
+                })
             },
         },
         // DEQ and the WDEQ ablations: rule-driven online policies replayed
@@ -54,7 +69,7 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
             clairvoyance: NonClairvoyant,
             heterogeneous: true,
             online: Some(&DeqRule),
-            run: |i| rules::replay(i, &DeqRule).map(plain),
+            run: |i, _| rules::replay(i, &DeqRule).map(PolicyRun::from),
         },
         Policy {
             name: "share-no-redistribution",
@@ -62,7 +77,7 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
             clairvoyance: NonClairvoyant,
             heterogeneous: true,
             online: Some(&ShareNoRedistributionRule),
-            run: |i| rules::replay(i, &ShareNoRedistributionRule).map(plain),
+            run: |i, _| rules::replay(i, &ShareNoRedistributionRule).map(PolicyRun::from),
         },
         Policy {
             name: "priority",
@@ -70,7 +85,7 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
             clairvoyance: NonClairvoyant,
             heterogeneous: true,
             online: Some(&PriorityRule),
-            run: |i| rules::replay(i, &PriorityRule).map(plain),
+            run: |i, _| rules::replay(i, &PriorityRule).map(PolicyRun::from),
         },
         // Water-Filling normal form (Algorithm 2) of the WDEQ completion
         // times: same completions, ≤ n allocation changes (Lemma 5). The
@@ -79,38 +94,40 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
         offline(
             "wf",
             "Water-Filling normal form of the WDEQ completion times (Algorithm 2)",
-            |i| water_filling_of_wdeq(i, false),
+            |i, _| water_filling_of_wdeq(i, false),
         ),
         offline(
             "wf-fast",
             "Water-Filling normal form of WDEQ times (grouped feasibility oracle first)",
-            |i| water_filling_of_wdeq(i, true),
+            |i, _| water_filling_of_wdeq(i, true),
         ),
         // **Greedy(σ)** (Algorithm 3) under the fixed ordering rules.
         offline(
             "greedy-smith",
             "greedy schedule in Smith order, V/w ascending (Algorithm 3)",
-            |i| greedy(i, &orders::smith_order(i)),
+            |i, _| greedy(i, &orders::smith_order(i)),
         ),
         offline(
             "greedy-delta-desc",
             "greedy schedule, caps descending",
-            |i| greedy(i, &orders::delta_descending(i)),
+            |i, _| greedy(i, &orders::delta_descending(i)),
         ),
-        offline("greedy-delta-asc", "greedy schedule, caps ascending", |i| {
-            greedy(i, &orders::delta_ascending(i))
-        }),
+        offline(
+            "greedy-delta-asc",
+            "greedy schedule, caps ascending",
+            |i, _| greedy(i, &orders::delta_ascending(i)),
+        ),
         offline(
             "greedy-height-desc",
             "greedy schedule, heights V/δ descending",
-            |i| greedy(i, &orders::height_descending(i)),
+            |i, _| greedy(i, &orders::height_descending(i)),
         ),
         offline(
             "greedy-wheight-desc",
             "greedy schedule, weighted height descending",
-            |i| greedy(i, &orders::weighted_height_descending(i)),
+            |i, _| greedy(i, &orders::weighted_height_descending(i)),
         ),
-        offline("greedy-input", "greedy schedule in input order", |i| {
+        offline("greedy-input", "greedy schedule in input order", |i, _| {
             greedy(i, &(0..i.n()).map(TaskId).collect::<Vec<_>>())
         }),
         // The best greedy schedule over the heuristic orders of
@@ -118,14 +135,14 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
         offline(
             "best-greedy",
             "minimum-cost greedy schedule over the heuristic orders",
-            |i| greedy(i, &best_heuristic_greedy(i)?.1),
+            |i, _| greedy(i, &best_heuristic_greedy(i)?.1),
         ),
         // The Cmax optimum: every task finishes together at the two-term
         // optimum `C* = max(ΣV/P, max V/min(δ,P))`.
         offline(
             "makespan",
             "Cmax-optimal schedule (all tasks finish at C*)",
-            |i| makespan_schedule(i).map(plain),
+            |i, _| makespan_schedule(i).map(PolicyRun::from),
         ),
         // The release-date Cmax solver at zero releases: the same optimal
         // makespan as `makespan` through the entirely different parametric
@@ -135,9 +152,9 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
         offline_any_machine(
             "makespan-parametric",
             "exact Cmax via the release-date parametric flow search (zero releases)",
-            |i| {
+            |i, _| {
                 let r = makespan_with_releases(i, &vec![S::zero(); i.n()])?;
-                Ok(plain(step_to_column(
+                Ok(PolicyRun::from(step_to_column(
                     &r.schedule,
                     Tolerance::for_instance(i.n()),
                 )))
@@ -149,12 +166,12 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
         offline_any_machine(
             "lmax-height",
             "exact minimum max-lateness schedule against per-task height due dates",
-            |i| {
+            |i, _| {
                 let due: Vec<S> = i
                     .iter()
                     .map(|(id, t)| t.volume.clone() / i.effective_delta(id))
                     .collect();
-                Ok(plain(min_lmax(i, &due)?.1))
+                Ok(min_lmax(i, &due)?.1.into())
             },
         ),
         // Exact min-Lmax against Smith-ratio due dates: heavier tasks are
@@ -163,7 +180,7 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
         offline_any_machine(
             "lmax-parametric",
             "exact min-Lmax against Smith-ratio due dates (parametric frontier search)",
-            |i| Ok(plain(min_lmax(i, &smith_ratio_dues(i))?.1)),
+            |i, _| Ok(min_lmax(i, &smith_ratio_dues(i))?.1.into()),
         ),
         // The related-machines (heterogeneous speed) family: these run on
         // any machine model.
@@ -182,10 +199,13 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
             clairvoyance: NonClairvoyant,
             heterogeneous: true,
             online: None,
-            run: |i| {
+            run: |i, _| {
                 let (schedule, limited) = rules::replay_with_split(i, &WdeqRule)?;
                 let bound = mixed_bound(i, &limited).max_of(combined_lower_bound(i));
-                Ok(certified(schedule, bound))
+                Ok(PolicyRun {
+                    certificate: within_two(bound),
+                    ..schedule.into()
+                })
             },
         },
         // Speed-scaled Water-Filling: the fastest-first WDEQ completion
@@ -194,9 +214,9 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
         offline_any_machine(
             "wf-related",
             "speed-scaled normal form: WDEQ-related completion times via the level flow",
-            |i| {
+            |i, _| {
                 let completions = rules::replay(i, &WdeqRule)?.completions;
-                flow_witness(i, None, &completions).map(plain)
+                flow_witness(i, None, &completions).map(PolicyRun::from)
             },
         ),
         // Greedy earliest-feasible completions: each task in turn gets the
@@ -206,17 +226,17 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
         offline_any_machine(
             "greedy-smith-related",
             "greedy earliest-feasible completions in Smith order over the speed profile",
-            |i| greedy_related(i, &orders::smith_order(i)).map(plain),
+            |i, _| greedy_related(i, &orders::smith_order(i)).map(PolicyRun::from),
         ),
         offline_any_machine(
             "greedy-lpt-related",
             "greedy earliest-feasible completions, largest volume first, any capacity model",
-            |i| greedy_related(i, &orders::volume_descending(i)).map(plain),
+            |i, _| greedy_related(i, &orders::volume_descending(i)).map(PolicyRun::from),
         ),
         offline_any_machine(
             "greedy-eligibility-related",
             "greedy earliest-feasible completions, most-constrained task first",
-            |i| greedy_related(i, &orders::count_cap_ascending(i)).map(plain),
+            |i, _| greedy_related(i, &orders::count_cap_ascending(i)).map(PolicyRun::from),
         ),
         // Exact min-Lmax against Smith-ratio due dates with the
         // transportation flow as oracle *and* witness (on identical
@@ -225,7 +245,7 @@ pub fn all<S: Scalar>() -> Vec<Policy<S>> {
         offline_any_machine(
             "lmax-parametric-related",
             "exact min-Lmax on the speed profile (parametric level-flow search)",
-            |i| Ok(plain(min_lmax_flow(i, &smith_ratio_dues(i))?.1)),
+            |i, _| Ok(min_lmax_flow(i, &smith_ratio_dues(i))?.1.into()),
         ),
     ]
 }
@@ -265,11 +285,12 @@ pub fn names() -> Vec<&'static str> {
 }
 
 /// A clairvoyant offline entry for identical machines only — the shape
-/// of most of the table.
+/// of most of the table. Offline algorithms build their columns anyway,
+/// so `run` ignores the requested [`Output`].
 fn offline<S: Scalar>(
     name: &'static str,
     description: &'static str,
-    run: fn(&Instance<S>) -> Run<S>,
+    run: fn(&Instance<S>, Output) -> Run<S>,
 ) -> Policy<S> {
     Policy {
         name,
@@ -285,7 +306,7 @@ fn offline<S: Scalar>(
 fn offline_any_machine<S: Scalar>(
     name: &'static str,
     description: &'static str,
-    run: fn(&Instance<S>) -> Run<S>,
+    run: fn(&Instance<S>, Output) -> Run<S>,
 ) -> Policy<S> {
     Policy {
         heterogeneous: true,
@@ -293,34 +314,24 @@ fn offline_any_machine<S: Scalar>(
     }
 }
 
-fn plain<S: Scalar>(schedule: ColumnSchedule<S>) -> PolicyRun<S> {
-    PolicyRun {
-        schedule,
-        certificate: None,
-    }
-}
-
-/// A run certified within factor 2 of `lower_bound ≤ OPT`.
-fn certified<S: Scalar>(schedule: ColumnSchedule<S>, lower_bound: S) -> PolicyRun<S> {
-    PolicyRun {
-        schedule,
-        certificate: Some(PolicyCertificate {
-            lower_bound,
-            factor: S::from_int(2),
-        }),
-    }
+/// A certificate of cost within factor 2 of `lower_bound ≤ OPT`.
+fn within_two<S: Scalar>(lower_bound: S) -> Option<PolicyCertificate<S>> {
+    Some(PolicyCertificate {
+        lower_bound,
+        factor: S::from_int(2),
+    })
 }
 
 fn greedy<S: Scalar>(instance: &Instance<S>, order: &[TaskId]) -> Run<S> {
     let step = greedy_schedule(instance, order)?;
-    Ok(plain(step_to_column(
+    Ok(PolicyRun::from(step_to_column(
         &step,
         Tolerance::for_instance(instance.n()),
     )))
 }
 
 fn water_filling_of_wdeq<S: Scalar>(instance: &Instance<S>, grouped_first: bool) -> Run<S> {
-    let completions = wdeq_run(instance)?.schedule.completions;
+    let completions = wdeq_completions(instance)?.completions;
     if grouped_first && !wf_feasible_grouped(instance, &completions)? {
         // WDEQ times are feasible by construction; a grouped verdict to
         // the contrary would be a bug, not bad input.
@@ -328,7 +339,7 @@ fn water_filling_of_wdeq<S: Scalar>(instance: &Instance<S>, grouped_first: bool)
             reason: "grouped oracle rejected WDEQ completion times".into(),
         });
     }
-    water_filling(instance, &completions).map(plain)
+    water_filling(instance, &completions).map(PolicyRun::from)
 }
 
 /// Smith-ratio due dates `dᵢ = Vᵢ/wᵢ` (weightless tasks fall back to

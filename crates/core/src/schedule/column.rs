@@ -80,7 +80,7 @@ impl<S: Scalar> ColumnSchedule<S> {
 
     /// Schedule makespan `max Cᵢ`.
     pub fn makespan(&self) -> S {
-        self.completions.iter().cloned().fold(S::zero(), S::max_of)
+        super::makespan(&self.completions)
     }
 
     /// The paper's objective `Σ wᵢCᵢ`.
@@ -89,16 +89,7 @@ impl<S: Scalar> ColumnSchedule<S> {
     /// Panics when the instance task count differs from the schedule's
     /// (callers pair schedules with the instance that produced them).
     pub fn weighted_completion_cost(&self, instance: &Instance<S>) -> S {
-        assert_eq!(
-            instance.n(),
-            self.completions.len(),
-            "instance/schedule task count mismatch"
-        );
-        S::sum(
-            instance
-                .iter()
-                .map(|(id, t)| t.weight.clone() * self.completions[id.0].clone()),
-        )
+        super::weighted_completion_cost(instance, &self.completions)
     }
 
     /// Unweighted sum of completion times `Σ Cᵢ`.

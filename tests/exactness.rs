@@ -130,7 +130,7 @@ fn exact_path_needs_no_epsilon() {
                     "volume split must be exact"
                 );
             }
-            let cert = certificate_of(&exact, &run);
+            let cert = certificate_of(&exact, &wdeq_completions(&exact).unwrap());
             assert!(
                 cert.wdeq_cost <= Rational::from_int(2) * cert.value(),
                 "Lemma-2 certificate must hold with zero slack"
@@ -469,6 +469,46 @@ fn wdeq_duplicate_finish_times_stay_bit_exact() {
             "grouped/ungrouped WF verdicts diverge on tied deadlines"
         );
     }
+}
+
+/// The certificate's Smith order sorts on a total-order key `V/w`; the
+/// cross-multiplied comparator it replaced panics on the fixture's f64
+/// split. At `Rational` both orders are the same, so the exact bound must
+/// not move — checked on the certificate's own `(V¹, w)` pairs.
+#[test]
+fn wdeq_certificate_fixture_bound_matches_the_cross_multiplied_order() {
+    use malleable::core::bounds::squashed_area_of;
+    use numkit::scalar::ratio_cmp;
+
+    let text = include_str!("fixtures/wdeq_certificate_panic.txt");
+    let inst = malleable::core::io::parse_instance(text).unwrap();
+    // The f64 certificate no longer panics and certifies within 2.
+    let cert = certificate_of(&inst, &wdeq_completions(&inst).unwrap());
+    assert!(cert.ratio() <= 2.0, "f64 ratio {}", cert.ratio());
+
+    let exact = lift(&inst);
+    let lane = wdeq_completions(&exact).unwrap();
+    let pairs: Vec<(Rational, Rational)> = lane
+        .limited_volumes
+        .iter()
+        .zip(&exact.tasks)
+        .map(|(v, t)| (v.clone(), t.weight.clone()))
+        .collect();
+    let mut old_order: Vec<_> = pairs
+        .iter()
+        .filter(|(v, _)| v.is_positive())
+        .cloned()
+        .collect();
+    old_order.sort_by(|a, b| ratio_cmp(&a.0, &a.1, &b.0, &b.1));
+    let mut suffix_w = Rational::zero();
+    let old_area = Rational::sum(old_order.iter().rev().map(|(v, w)| {
+        suffix_w = suffix_w.clone() + w.clone();
+        v.clone() / exact.p.clone() * suffix_w.clone()
+    }));
+    assert_eq!(squashed_area_of(exact.p.clone(), pairs), old_area);
+
+    let cert = certificate_of(&exact, &lane);
+    assert!(cert.wdeq_cost <= Rational::from_int(2) * cert.value());
 }
 
 #[test]

@@ -9,13 +9,19 @@
 //! `policies::by_name` resolves) is also driven through
 //! `malleable_sim::simulate` on a fixture with positive arrivals.
 //!
+//! The rendering comes from each policy's completions-only run
+//! (`Output::Completions`, what `msched` asks for); the schedule-mode run
+//! must return the same completions and certificate bound, bit for bit.
+//!
 //! The rendered text must equal `tests/golden/registry.txt` byte for
 //! byte, so any refactor of the registry must leave every completion
 //! time bit-identical. On a mismatch the actual rendering is written next
 //! to the test binary's scratch directory for diffing.
 
-use malleable::core::policy;
+use malleable::core::policy::{self, Output, PolicyRun};
+use malleable::core::ScheduleError;
 use malleable::prelude::*;
+use numkit::Scalar;
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/registry.txt");
@@ -50,6 +56,39 @@ fn fixtures() -> Vec<(&'static str, Spec, u64)> {
     ]
 }
 
+/// Run `name` in completions mode and check that schedule mode returns
+/// the same completions and certificate bound.
+fn solve_both_modes<S: Scalar>(
+    name: &str,
+    inst: &Instance<S>,
+) -> Result<PolicyRun<S>, ScheduleError> {
+    let p = policy::by_name::<S>(name).unwrap();
+    let lean = p.solve(inst, Output::Completions);
+    let full = p.run(inst);
+    match (&lean, full) {
+        // Compared through `{:?}`, which pins every f64 bit.
+        (Ok(lean), Ok(full)) => {
+            assert_eq!(
+                format!("{:?}", lean.completions),
+                format!("{:?}", full.schedule.completions),
+                "{name}"
+            );
+            assert_eq!(
+                format!("{:?}", lean.certificate.as_ref().map(|c| &c.lower_bound)),
+                format!("{:?}", full.certificate.as_ref().map(|c| &c.lower_bound)),
+                "{name}"
+            );
+        }
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{name}"),
+        (lean, full) => panic!(
+            "{name}: modes disagree on success: {:?} vs {:?}",
+            lean.is_ok(),
+            full.is_ok()
+        ),
+    }
+    lean
+}
+
 fn render_exact(values: &[Rational]) -> String {
     let parts: Vec<String> = values.iter().map(ToString::to_string).collect();
     format!("[{}]", parts.join(", "))
@@ -68,21 +107,21 @@ fn render() -> String {
         )
         .unwrap();
         for name in policy::capable_for(&inst.machine) {
-            match policy::by_name::<f64>(name).unwrap().run(&inst) {
+            match solve_both_modes(name, &inst) {
                 Ok(run) => writeln!(
                     out,
                     "{name} f64 {:?} lb={:?}",
-                    run.schedule.completions,
+                    run.completions,
                     run.certificate.map(|c| c.lower_bound)
                 ),
                 Err(e) => writeln!(out, "{name} f64 error: {e}"),
             }
             .unwrap();
-            match policy::by_name::<Rational>(name).unwrap().run(&exact) {
+            match solve_both_modes(name, &exact) {
                 Ok(run) => writeln!(
                     out,
                     "{name} exact {} lb={}",
-                    render_exact(&run.schedule.completions),
+                    render_exact(&run.completions),
                     run.certificate
                         .map_or_else(|| "None".to_string(), |c| c.lower_bound.to_string())
                 ),
