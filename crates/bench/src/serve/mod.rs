@@ -13,11 +13,15 @@
 //!
 //! Tenants are sharded over a [`crate::parallel::ShardPool`]: a tenant
 //! key always routes to the same stateful worker, so tenant state is
-//! single-threaded by construction and solves for different tenants
-//! proceed in parallel. Shutdown is graceful by the pool's drain
-//! semantics — queued solves finish before workers exit — and, when the
-//! daemon was started with a trace path, the session flushes a validated
-//! Chrome trace on the way out.
+//! single-threaded by construction. A `schedule` snapshots the tenant's
+//! instance on its shard and is solved on a pool of one solver thread
+//! per core, shared by all shards, so solves spread over every core
+//! whichever shards their tenants hash to. Each connection pipelines:
+//! it reads and routes requests while earlier ones are still solving,
+//! and writes the replies in request order. Shutdown is graceful by the
+//! pools' drain semantics — queued solves finish before workers exit —
+//! and, when the daemon was started with a trace path, the session
+//! flushes a validated Chrome trace on the way out.
 //!
 //! Everything here is `std` networking plus the two vendored concurrency
 //! crates; there is no async runtime, no serde, no HTTP.
@@ -27,7 +31,7 @@ pub mod protocol;
 use crate::parallel::ShardPool;
 use crate::registry;
 use crate::serve::protocol::{error_response, json_num, ok_response, parse_request, Request};
-use crossbeam::channel::Sender;
+use crossbeam::channel::{Receiver, Sender};
 use malleable_core::bounds::arrival_aware_lower_bound;
 use malleable_core::instance::Instance;
 use malleable_core::policy;
@@ -37,7 +41,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Configuration of one daemon run.
@@ -144,7 +148,14 @@ struct Tenant {
     p: f64,
     tasks: Vec<(f64, f64, f64)>,
     arrivals: Vec<f64>,
-    solves: u64,
+    /// Shared with the tenant's solves in flight on the solver pool.
+    solved: Arc<Mutex<Solved>>,
+}
+
+/// What a tenant's finished solves left behind.
+#[derive(Debug, Default)]
+struct Solved {
+    count: u64,
     last_cost: Option<f64>,
 }
 
@@ -167,6 +178,17 @@ impl Tenant {
 struct ShardReq {
     req: Request,
     reply: Sender<String>,
+}
+
+/// A `schedule` request handed from its tenant's shard to the solver
+/// pool, with the tenant's instance as of the request. Solves of one
+/// shard's tenants thus spread over every core, and the shard goes on
+/// with its queue meanwhile.
+struct SolveJob {
+    tenant: String,
+    policy: String,
+    instance: Instance,
+    solved: Arc<Mutex<Solved>>,
 }
 
 /// Solve `instance` with `name`: the bench registry (core table plus
@@ -195,14 +217,23 @@ fn solve(instance: &Instance, name: &str) -> Result<(ColumnSchedule, &'static st
     Ok((run.schedule, "batch"))
 }
 
-/// Handle one tenant-keyed request on its shard. Every path returns a
-/// single-line JSON response; errors never poison tenant state.
+/// What a shard made of a tenant request.
+enum Handled {
+    /// The single-line JSON response.
+    Answer(String),
+    /// A solve for the solver pool, which answers it.
+    Solve(SolveJob),
+}
+
+/// Handle one tenant-keyed request on its shard: answer it, or snapshot
+/// the tenant's instance for a `schedule`. Errors never poison tenant
+/// state.
 fn handle_tenant_request(
     tenants: &mut BTreeMap<String, Tenant>,
     req: &Request,
     counters: &Counters,
-) -> String {
-    match req {
+) -> Handled {
+    let answer = match req {
         Request::Submit {
             tenant,
             p,
@@ -217,19 +248,19 @@ fn handle_tenant_request(
                     Some(cap) => entry.p = *cap,
                     None => {
                         counters.bump(SOLVE_ERRORS);
-                        return error_response(&format!(
+                        return Handled::Answer(error_response(&format!(
                             "tenant {tenant:?} has no capacity yet: the first submit \
                              must carry \"p\""
-                        ));
+                        )));
                     }
                 }
             } else if let Some(cap) = p {
                 if *cap != entry.p {
                     counters.bump(SOLVE_ERRORS);
-                    return error_response(&format!(
+                    return Handled::Answer(error_response(&format!(
                         "tenant {tenant:?} already has p = {}, cannot change it to {cap}",
                         entry.p
-                    ));
+                    )));
                 }
             }
             entry
@@ -242,7 +273,9 @@ fn handle_tenant_request(
                 entry.tasks.pop();
                 entry.arrivals.pop();
                 counters.bump(SOLVE_ERRORS);
-                return error_response(&format!("rejected task for tenant {tenant:?}: {e}"));
+                return Handled::Answer(error_response(&format!(
+                    "rejected task for tenant {tenant:?}: {e}"
+                )));
             }
             counters.bump(SUBMITS);
             ok_response(
@@ -254,77 +287,102 @@ fn handle_tenant_request(
             )
         }
         Request::Schedule { tenant, policy } => {
-            let Some(entry) = tenants.get_mut(tenant) else {
+            let Some(entry) = tenants.get(tenant) else {
                 counters.bump(SOLVE_ERRORS);
-                return error_response(&format!("unknown tenant {tenant:?}"));
+                return Handled::Answer(error_response(&format!("unknown tenant {tenant:?}")));
             };
-            let mut sp =
-                malleable_trace::span_labeled("serve.solve", || format!("{tenant}/{policy}"));
-            let instance = match entry.instance() {
-                Ok(i) => i,
+            match entry.instance() {
+                Ok(instance) => {
+                    return Handled::Solve(SolveJob {
+                        tenant: tenant.clone(),
+                        policy: policy.clone(),
+                        instance,
+                        solved: entry.solved.clone(),
+                    })
+                }
                 Err(e) => {
                     counters.bump(SOLVE_ERRORS);
-                    return error_response(&format!("tenant {tenant:?} instance invalid: {e}"));
+                    error_response(&format!("tenant {tenant:?} instance invalid: {e}"))
                 }
-            };
-            let (schedule, mode) = match solve(&instance, policy) {
-                Ok(x) => x,
-                Err(e) => {
-                    counters.bump(SOLVE_ERRORS);
-                    return error_response(&e);
-                }
-            };
-            if let Err(e) = schedule.validate(&instance) {
-                counters.bump(SOLVE_ERRORS);
-                return error_response(&format!(
-                    "policy {policy:?} produced an invalid schedule: {e}"
-                ));
             }
-            let cost = schedule.weighted_completion_cost(&instance);
-            let bound = arrival_aware_lower_bound(&instance);
-            let ratio = if bound > 0.0 { cost / bound } else { 1.0 };
-            entry.solves += 1;
-            entry.last_cost = Some(cost);
-            counters.bump(SOLVES);
-            sp.arg("serve.solve.n", instance.n() as u64);
-            let completions: Vec<String> = instance
-                .iter()
-                .map(|(id, _)| json_num(schedule.completion(id)))
-                .collect();
-            ok_response(
-                "schedule",
-                &[
-                    format!("\"tenant\":{}", crate::batch::json_str(tenant)),
-                    format!("\"policy\":{}", crate::batch::json_str(policy)),
-                    format!("\"mode\":\"{mode}\""),
-                    format!("\"n\":{}", instance.n()),
-                    format!("\"cost\":{}", json_num(cost)),
-                    format!("\"makespan\":{}", json_num(schedule.makespan())),
-                    format!("\"bound\":{}", json_num(bound)),
-                    format!("\"bound_ratio\":{}", json_num(ratio)),
-                    format!("\"completions\":[{}]", completions.join(",")),
-                ],
-            )
         }
         Request::Metrics {
             tenant: Some(tenant),
         } => match tenants.get(tenant) {
-            Some(entry) => ok_response(
-                "metrics",
-                &[
-                    format!("\"tenant\":{}", crate::batch::json_str(tenant)),
-                    format!("\"tasks\":{}", entry.tasks.len()),
-                    format!("\"solves\":{}", entry.solves),
-                    format!(
-                        "\"last_cost\":{}",
-                        entry.last_cost.map_or("null".to_string(), json_num)
-                    ),
-                ],
-            ),
+            Some(entry) => {
+                let solved = entry.solved.lock().unwrap_or_else(PoisonError::into_inner);
+                ok_response(
+                    "metrics",
+                    &[
+                        format!("\"tenant\":{}", crate::batch::json_str(tenant)),
+                        format!("\"tasks\":{}", entry.tasks.len()),
+                        format!("\"solves\":{}", solved.count),
+                        format!(
+                            "\"last_cost\":{}",
+                            solved.last_cost.map_or("null".to_string(), json_num)
+                        ),
+                    ],
+                )
+            }
             None => error_response(&format!("unknown tenant {tenant:?}")),
         },
         _ => error_response("request not routable to a shard"),
+    };
+    Handled::Answer(answer)
+}
+
+/// Run a handed-off `schedule` on the solver pool: solve, check the
+/// schedule against Definition 2, record the cost on the tenant, and
+/// build the response.
+fn run_solve(job: &SolveJob, counters: &Counters) -> String {
+    let SolveJob {
+        tenant,
+        policy,
+        instance,
+        solved,
+    } = job;
+    let mut sp = malleable_trace::span_labeled("serve.solve", || format!("{tenant}/{policy}"));
+    let (schedule, mode) = match solve(instance, policy) {
+        Ok(x) => x,
+        Err(e) => {
+            counters.bump(SOLVE_ERRORS);
+            return error_response(&e);
+        }
+    };
+    if let Err(e) = schedule.validate(instance) {
+        counters.bump(SOLVE_ERRORS);
+        return error_response(&format!(
+            "policy {policy:?} produced an invalid schedule: {e}"
+        ));
     }
+    let cost = schedule.weighted_completion_cost(instance);
+    let bound = arrival_aware_lower_bound(instance);
+    let ratio = if bound > 0.0 { cost / bound } else { 1.0 };
+    {
+        let mut solved = solved.lock().unwrap_or_else(PoisonError::into_inner);
+        solved.count += 1;
+        solved.last_cost = Some(cost);
+    }
+    counters.bump(SOLVES);
+    sp.arg("serve.solve.n", instance.n() as u64);
+    let completions: Vec<String> = instance
+        .iter()
+        .map(|(id, _)| json_num(schedule.completion(id)))
+        .collect();
+    ok_response(
+        "schedule",
+        &[
+            format!("\"tenant\":{}", crate::batch::json_str(tenant)),
+            format!("\"policy\":{}", crate::batch::json_str(policy)),
+            format!("\"mode\":\"{mode}\""),
+            format!("\"n\":{}", instance.n()),
+            format!("\"cost\":{}", json_num(cost)),
+            format!("\"makespan\":{}", json_num(schedule.makespan())),
+            format!("\"bound\":{}", json_num(bound)),
+            format!("\"bound_ratio\":{}", json_num(ratio)),
+            format!("\"completions\":[{}]", completions.join(",")),
+        ],
+    )
 }
 
 /// Global (non-tenant) metrics response built from the live counters.
@@ -337,10 +395,63 @@ fn metrics_response(counters: &Counters, shards: usize) -> String {
     ok_response("metrics", &fields)
 }
 
+/// Send `payload` and its newline as one write, then flush. Split into
+/// two writes, the newline waits on Nagle's algorithm for the peer's
+/// delayed ACK (~40 ms per message on Linux loopback); both ends also set
+/// `TCP_NODELAY`.
+fn write_line(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(payload.len() + 1);
+    frame.extend_from_slice(payload.as_bytes());
+    frame.push(b'\n');
+    w.write_all(&frame)?;
+    w.flush()
+}
+
+/// Replies one connection may have pending before its reader waits.
+const MAX_IN_FLIGHT: usize = 64;
+
+/// One reply slot of a connection, in request order.
+enum Reply {
+    /// A tenant request's reply, from its shard or the solver pool.
+    Routed(Receiver<String>),
+    /// A reply the reader computed itself.
+    Ready(String),
+    /// Not a reply: acknowledged once every earlier reply has been sent.
+    Barrier(Sender<()>),
+}
+
+/// The writing half of a connection: send each reply as it becomes
+/// ready, oldest first, until the reader hangs up or the client is gone.
+fn write_replies(mut writer: TcpStream, replies: mpsc::Receiver<Reply>) {
+    while let Ok(reply) = replies.recv() {
+        let response = match reply {
+            Reply::Routed(rx) => rx
+                .recv()
+                .unwrap_or_else(|_| error_response("shard worker unavailable")),
+            Reply::Ready(response) => response,
+            Reply::Barrier(ack) => {
+                let _ = ack.send(());
+                continue;
+            }
+        };
+        if write_line(&mut writer, &response).is_err() {
+            break;
+        }
+    }
+}
+
 /// One client connection: read request lines until EOF, error, or
-/// shutdown; answer each on the same socket. Protocol errors keep the
-/// connection; a vanished client only kills the reply write, never the
-/// shard that computed it.
+/// shutdown; answer each on the same socket, in request order. Protocol
+/// errors keep the connection; a vanished client only kills the reply
+/// write, never the shard that computed it.
+///
+/// Requests are pipelined: the reader routes each tenant request to its
+/// shard and goes on reading while a second thread writes the replies,
+/// so a burst for tenants on different shards is solved in parallel. A
+/// tenant's requests stay in order on its shard, and `metrics` and
+/// `shutdown` first wait for every earlier reply, so what a client sees
+/// is the same as when each request was answered before the next was
+/// read.
 fn handle_connection(
     stream: TcpStream,
     pool: Arc<ShardPool<ShardReq>>,
@@ -349,11 +460,18 @@ fn handle_connection(
     trace_path: Arc<Option<String>>,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
+    let _ = stream.set_nodelay(true);
+    let (Ok(read_half), Ok(write_half)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
     };
-    let mut writer = stream;
+    let mut reader = BufReader::new(read_half);
+    let (replies, pending) = mpsc::sync_channel(MAX_IN_FLIGHT);
+    let writer = std::thread::spawn(move || write_replies(write_half, pending));
+    // Wait until every reply before this point has been sent.
+    let barrier = || {
+        let (ack, acked) = crossbeam::channel::unbounded();
+        replies.send(Reply::Barrier(ack)).is_ok() && acked.recv().is_ok()
+    };
     let mut line = String::new();
     loop {
         match reader.read_line(&mut line) {
@@ -365,22 +483,31 @@ fn handle_connection(
                     continue;
                 }
                 counters.bump(REQUESTS);
-                let response = match parse_request(text) {
+                let reply = match parse_request(text) {
                     Err(msg) => {
                         counters.bump(PROTOCOL_ERRORS);
-                        error_response(&msg)
+                        Reply::Ready(error_response(&msg))
                     }
-                    Ok(Request::Ping) => ok_response("ping", &[]),
+                    Ok(Request::Ping) => Reply::Ready(ok_response("ping", &[])),
                     Ok(Request::Shutdown) => {
+                        if !barrier() {
+                            break;
+                        }
                         // Idempotent: every shutdown gets the same answer,
                         // first or tenth.
                         shutdown.store(true, Ordering::SeqCst);
-                        ok_response("shutdown", &[String::from("\"draining\":true")])
+                        Reply::Ready(ok_response(
+                            "shutdown",
+                            &[String::from("\"draining\":true")],
+                        ))
                     }
                     Ok(Request::Metrics { tenant: None }) => {
-                        metrics_response(&counters, pool.shards())
+                        if !barrier() {
+                            break;
+                        }
+                        Reply::Ready(metrics_response(&counters, pool.shards()))
                     }
-                    Ok(Request::TraceInfo) => ok_response(
+                    Ok(Request::TraceInfo) => Reply::Ready(ok_response(
                         "trace",
                         &[
                             format!("\"enabled\":{}", trace_path.is_some()),
@@ -391,8 +518,12 @@ fn handle_connection(
                                     .map_or("null".to_string(), crate::batch::json_str)
                             ),
                         ],
-                    ),
+                    )),
                     Ok(req) => {
+                        // A tenant's counters include every earlier solve.
+                        if matches!(req, Request::Metrics { .. }) && !barrier() {
+                            break;
+                        }
                         let key = match &req {
                             Request::Submit { tenant, .. }
                             | Request::Schedule { tenant, .. }
@@ -402,20 +533,13 @@ fn handle_connection(
                             _ => unreachable!("non-tenant verbs handled above"),
                         };
                         let (rtx, rrx) = crossbeam::channel::unbounded();
-                        if pool.route(&key, ShardReq { req, reply: rtx }) {
-                            rrx.recv()
-                                .unwrap_or_else(|_| error_response("shard worker unavailable"))
-                        } else {
-                            error_response("shard worker unavailable")
-                        }
+                        // A refused route drops `rtx`, and the reply reads
+                        // as "shard worker unavailable".
+                        let _ = pool.route(&key, ShardReq { req, reply: rtx });
+                        Reply::Routed(rrx)
                     }
                 };
-                if writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if replies.send(reply).is_err() {
                     break;
                 }
             }
@@ -428,6 +552,8 @@ fn handle_connection(
             Err(_) => break,
         }
     }
+    drop(replies);
+    writer.join().expect("reply writer panicked");
     malleable_trace::flush_thread();
 }
 
@@ -444,9 +570,9 @@ pub fn run(config: &ServeConfig) -> Result<ServeMetrics, String> {
 ///
 /// Lifecycle: start the trace session (before any worker thread is
 /// born — threads inherit the tracing state at spawn), spawn the shard
-/// pool, accept connections until the shutdown flag flips, join the
-/// connection threads, drain the pool (queued solves finish), and
-/// finally flush a validated Chrome trace if configured.
+/// pool and the solver pool, accept connections until the shutdown flag
+/// flips, join the connection threads, drain both pools (queued solves
+/// finish), and finally flush a validated Chrome trace if configured.
 pub fn run_on(listener: TcpListener, config: &ServeConfig) -> Result<ServeMetrics, String> {
     let addr = listener
         .local_addr()
@@ -459,18 +585,43 @@ pub fn run_on(listener: TcpListener, config: &ServeConfig) -> Result<ServeMetric
     let counters = Arc::new(Counters::default());
     let shutdown = Arc::new(AtomicBool::new(false));
     let trace_path = Arc::new(config.trace_path.clone());
+    let (jobs, queued) = crossbeam::channel::unbounded::<(SolveJob, Sender<String>)>();
     let pool = {
         let counters = counters.clone();
         Arc::new(ShardPool::new(config.shards, move |_shard| {
             let counters = counters.clone();
+            let jobs = jobs.clone();
             let mut tenants: BTreeMap<String, Tenant> = BTreeMap::new();
             Box::new(move |sr: ShardReq| {
-                let response = handle_tenant_request(&mut tenants, &sr.req, &counters);
-                let _ = sr.reply.send(response);
+                match handle_tenant_request(&mut tenants, &sr.req, &counters) {
+                    Handled::Answer(response) => {
+                        let _ = sr.reply.send(response);
+                    }
+                    // With the pool gone the reply sender drops, and the
+                    // client reads "shard worker unavailable".
+                    Handled::Solve(job) => {
+                        let _ = jobs.send((job, sr.reply));
+                    }
+                }
                 malleable_trace::flush_thread();
             })
         }))
     };
+    // One solver per core, shared by every shard; it exits once the
+    // shards (the only job senders) are gone.
+    let solvers: Vec<_> = (0..std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .map(|_| {
+            let queued = queued.clone();
+            let counters = counters.clone();
+            std::thread::spawn(move || {
+                while let Ok((job, reply)) = queued.recv() {
+                    let _ = reply.send(run_solve(&job, &counters));
+                    malleable_trace::flush_thread();
+                }
+            })
+        })
+        .collect();
+    drop(queued);
 
     // Not println!: a daemon must survive its supervisor closing the
     // stdout pipe, so write errors are ignored rather than panicking.
@@ -511,6 +662,9 @@ pub fn run_on(listener: TcpListener, config: &ServeConfig) -> Result<ServeMetric
         .ok()
         .expect("all connection threads joined")
         .join();
+    for h in solvers {
+        h.join().expect("solver panicked");
+    }
 
     let metrics = counters.snapshot();
     if let (Some(session), Some(path)) = (session, config.trace_path.as_ref()) {
@@ -550,6 +704,9 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Client, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("cannot set TCP_NODELAY: {e}"))?;
         let reader = BufReader::new(
             stream
                 .try_clone()
@@ -566,11 +723,7 @@ impl Client {
     /// # Errors
     /// I/O failures and early EOF (daemon gone).
     pub fn request_raw(&mut self, line: &str) -> Result<String, String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("cannot send request: {e}"))?;
+        write_line(&mut self.writer, line).map_err(|e| format!("cannot send request: {e}"))?;
         let mut resp = String::new();
         match self.reader.read_line(&mut resp) {
             Ok(0) => Err("daemon closed the connection".to_string()),
@@ -625,6 +778,103 @@ mod tests {
 
     fn ok(v: &crate::jsonin::Json) -> bool {
         v.get("ok") == Some(&crate::jsonin::Json::Bool(true))
+    }
+
+    /// Counts `write` calls; accepts every byte it is given.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_framed_message_is_one_write() {
+        let mut w = CountingWriter::default();
+        for (i, msg) in [r#"{"op":"ping"}"#, "", r#"{"ok":true}"#]
+            .iter()
+            .enumerate()
+        {
+            write_line(&mut w, msg).unwrap();
+            assert_eq!(w.writes, i + 1, "message {msg:?} took more than one write");
+        }
+        assert_eq!(w.bytes, b"{\"op\":\"ping\"}\n\n{\"ok\":true}\n");
+    }
+
+    #[test]
+    fn pipelined_requests_get_the_replies_of_one_at_a_time() {
+        let mut lines = vec![r#"{"op":"ping"}"#.to_string()];
+        for k in 0..12 {
+            for t in 0..4 {
+                let p = if k == 0 { r#","p":8"# } else { "" };
+                let arrival = if t == 3 {
+                    format!(r#","arrival":{k}"#)
+                } else {
+                    String::new()
+                };
+                lines.push(format!(
+                    r#"{{"op":"submit","tenant":"t{t}","volume":{},"weight":{}{p}{arrival}}}"#,
+                    1 + (3 * k + t) % 7,
+                    1 + (k + 2 * t) % 3
+                ));
+            }
+            if k % 3 == 2 {
+                for (t, policy) in ["wdeq", "deq", "wf-fast", "wdeq"].iter().enumerate() {
+                    lines.push(format!(
+                        r#"{{"op":"schedule","tenant":"t{t}","policy":"{policy}"}}"#
+                    ));
+                }
+                lines.push(format!(r#"{{"op":"metrics","tenant":"t{}"}}"#, k % 4));
+                lines.push("not json".to_string());
+                lines.push(r#"{"op":"metrics"}"#.to_string());
+            }
+        }
+        lines.push(r#"{"op":"schedule","tenant":"nobody","policy":"wdeq"}"#.to_string());
+
+        // One daemon answers each request before the next is sent ...
+        let (addr, daemon) = boot(1);
+        let mut c = Client::connect(&addr.to_string()).unwrap();
+        let one_at_a_time: Vec<String> = lines.iter().map(|l| c.request_raw(l).unwrap()).collect();
+        c.request_raw(r#"{"op":"shutdown"}"#).unwrap();
+        drop(c);
+        daemon.join().unwrap();
+
+        // ... a second gets them all in one write, with one shard, so the
+        // solves overlap on the solver pool.
+        let (addr, daemon) = boot(1);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all((lines.join("\n") + "\n").as_bytes())
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let pipelined: Vec<String> = lines
+            .iter()
+            .map(|_| {
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                reply.trim().to_string()
+            })
+            .collect();
+        let mut c = Client::connect(&addr.to_string()).unwrap();
+        c.request_raw(r#"{"op":"shutdown"}"#).unwrap();
+        drop((c, reader, stream));
+        daemon.join().unwrap();
+
+        assert!(one_at_a_time.iter().any(|r| r.contains(r#""solves":1"#)));
+        for ((line, want), got) in lines.iter().zip(&one_at_a_time).zip(&pipelined) {
+            assert_eq!(got, want, "reply to {line}");
+        }
     }
 
     #[test]

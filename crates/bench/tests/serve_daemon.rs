@@ -131,6 +131,39 @@ fn client_disconnect_during_a_solve_does_not_poison_the_shard() {
     daemon.shutdown();
 }
 
+/// Sequential round trips on one connection must not stall on Nagle's
+/// algorithm: a request or response split over two writes waits ~40 ms
+/// for the peer's delayed ACK, which puts 200 submits at 8 s or more.
+#[test]
+fn two_hundred_sequential_submits_on_one_connection_finish_in_two_seconds() {
+    let daemon = Daemon::spawn(&[]);
+    let mut c = daemon.client();
+    let start = std::time::Instant::now();
+    for i in 0..200 {
+        let first = if i == 0 { ",\"p\":64" } else { "" };
+        let line = format!(
+            "{{\"op\":\"submit\",\"tenant\":\"burst\",\"volume\":{}{first}}}",
+            i % 7 + 1
+        );
+        assert!(is_ok(&c.request(&line).expect("submit answered")), "{line}");
+    }
+    let wall = start.elapsed();
+    assert!(
+        wall < std::time::Duration::from_secs(2),
+        "200 sequential submits took {wall:?}"
+    );
+    let resp = c
+        .request("{\"op\":\"schedule\",\"tenant\":\"burst\",\"policy\":\"wdeq\"}")
+        .expect("schedule answered");
+    assert_eq!(
+        resp.get("n").and_then(Json::as_f64),
+        Some(200.0),
+        "{resp:?}"
+    );
+    drop(c);
+    daemon.shutdown();
+}
+
 #[test]
 fn shutdown_is_idempotent_on_one_connection_and_exits_cleanly() {
     let daemon = Daemon::spawn(&[]);

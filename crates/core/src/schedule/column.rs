@@ -137,11 +137,17 @@ impl<S: Scalar> ColumnSchedule<S> {
     ///    allocation reaches it;
     /// 6. when the instance carries arrival times, no allocation before
     ///    the task's release.
+    ///
+    /// Runs in O(n + column entries), plus one flow check per column on
+    /// heterogeneous machines.
     pub fn validate_with(
         &self,
         instance: &Instance<S>,
         tol: Tolerance<S>,
     ) -> Result<(), ScheduleError> {
+        let entries: usize = self.columns.iter().map(|c| c.rates.len()).sum();
+        let mut sp = malleable_trace::span("schedule.validate");
+        sp.arg("entries", entries as u64);
         if self.completions.len() != instance.n() {
             return Err(ScheduleError::LengthMismatch {
                 what: "completion times",
@@ -157,8 +163,18 @@ impl<S: Scalar> ColumnSchedule<S> {
                 });
             }
         }
+        // Per task, only the first entry of each column counts (the one
+        // `Column::rate_of` reads). Its volume terms are laid out task by
+        // task in one flat vector (counted here, filled below), and its
+        // last allocation is folded as the columns go by, so the volume
+        // and last-allocation checks cost O(entries) time and one `S` per
+        // positive entry, not a `rate_of` scan per (task, column).
+        let n = instance.n();
+        let mut listed_in = vec![usize::MAX; n];
+        let mut terms_of = vec![0usize; n + 1];
+        let mut last_alloc = vec![S::zero(); n];
         let mut prev_end = S::zero();
-        for col in &self.columns {
+        for (j, col) in self.columns.iter().enumerate() {
             if !tol.eq(col.start.clone(), prev_end.clone()) {
                 return Err(ScheduleError::InvalidTime {
                     value: col.start.to_f64(),
@@ -180,6 +196,15 @@ impl<S: Scalar> ColumnSchedule<S> {
                         expected: instance.n(),
                         found: task.0,
                     });
+                }
+                if listed_in[task.0] != j {
+                    listed_in[task.0] = j;
+                    if rate.is_positive() {
+                        terms_of[task.0 + 1] += 1;
+                    }
+                    if col.len() > tol.abs && *rate > tol.abs {
+                        last_alloc[task.0] = last_alloc[task.0].clone().max_of(col.end.clone());
+                    }
                 }
                 let cap = instance.effective_delta(*task);
                 let delta_error = || ScheduleError::DeltaExceeded {
@@ -272,9 +297,26 @@ impl<S: Scalar> ColumnSchedule<S> {
                 }
             }
         }
-        // Volumes.
+        // Volumes: the same terms `allocated_area` sums, in the same order.
+        for i in 0..n {
+            terms_of[i + 1] += terms_of[i];
+        }
+        let mut next = terms_of[..n].to_vec();
+        let mut terms = vec![S::zero(); terms_of[n]];
+        listed_in.fill(usize::MAX);
+        for (j, col) in self.columns.iter().enumerate() {
+            for (task, rate) in &col.rates {
+                if listed_in[task.0] != j {
+                    listed_in[task.0] = j;
+                    if rate.is_positive() {
+                        terms[next[task.0]] = rate.clone() * col.len();
+                        next[task.0] += 1;
+                    }
+                }
+            }
+        }
         for (id, t) in instance.iter() {
-            let area = self.allocated_area(id);
+            let area = S::sum(terms[terms_of[id.0]..terms_of[id.0 + 1]].iter().cloned());
             if !tol.eq(area.clone(), t.volume.clone()) {
                 return Err(ScheduleError::VolumeMismatch {
                     task: id,
@@ -286,12 +328,7 @@ impl<S: Scalar> ColumnSchedule<S> {
         // Completion must coincide with the end of the last positive-rate,
         // positive-length column of each task.
         for (id, _) in instance.iter() {
-            let last_alloc = self
-                .columns
-                .iter()
-                .filter(|c| c.len() > tol.abs && c.rate_of(id) > tol.abs)
-                .map(|c| c.end.clone())
-                .fold(S::zero(), S::max_of);
+            let last_alloc = &last_alloc[id.0];
             if !tol.eq(last_alloc.clone(), self.completions[id.0].clone()) {
                 return Err(ScheduleError::AllocationAfterCompletion {
                     task: id,

@@ -57,3 +57,24 @@ fn event_driven_lanes_handle_ten_thousand_tasks_in_budget() {
         assert!(work > 0, "{}: work counter must move", spec.label());
     }
 }
+
+/// Definition-2 validation of a materialized WDEQ schedule at n = 2000
+/// (~n²/2 column entries). A per-(task, column) `rate_of` scan is cubic
+/// and takes seconds here; the transposed check is linear in entries.
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock budget only meaningful in release builds"
+)]
+#[test]
+fn wdeq_column_schedule_validates_at_two_thousand_tasks_in_budget() {
+    let n = 2_000;
+    let instance = generate(&Spec::IntegerUniform { n, p: 64 }, 42);
+    let schedule = wdeq_schedule(&instance);
+    let start = Instant::now();
+    schedule.validate(&instance).unwrap();
+    let wall = start.elapsed();
+    assert!(
+        wall < Duration::from_secs(2),
+        "validating WDEQ's columns took {wall:?} for n = {n}"
+    );
+}
